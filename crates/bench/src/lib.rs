@@ -412,6 +412,26 @@ pub fn write_root_artifact<T: Serialize>(opts: &BenchOpts, name: &str, value: &T
     }
 }
 
+/// The commit of the checkout this crate was built from, read from
+/// `.git` without running git: `HEAD` directly, or the branch it names
+/// (loose ref or `packed-refs`). `None` outside a git checkout.
+pub fn git_commit() -> Option<String> {
+    let git = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.git");
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(branch) = head.strip_prefix("ref: ") else {
+        return Some(head.to_string());
+    };
+    if let Ok(hash) = std::fs::read_to_string(git.join(branch)) {
+        return Some(hash.trim().to_string());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed.lines().find_map(|line| {
+        let (hash, name) = line.split_once(' ')?;
+        (name == branch).then(|| hash.to_string())
+    })
+}
+
 /// Write a JSON result file under `results/`.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let dir = std::path::Path::new("results");

@@ -260,8 +260,6 @@ pub fn run_training_cluster_traced(
     let mut uplinks: BTreeMap<(usize, usize), Link> = BTreeMap::new();
     let mut interlinks: BTreeMap<(usize, usize), Link> = BTreeMap::new();
 
-    let nested_threads = (rayon::current_num_threads() / cluster.total_workers().max(1)).max(1);
-
     std::thread::scope(|scope| {
         for (w, &host) in worker_host.iter().enumerate() {
             let queue = &queue;
@@ -275,118 +273,112 @@ pub fn run_training_cluster_traced(
                 if !membership.wait_active(host) {
                     return;
                 }
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(nested_threads)
-                    .build()
-                    .expect("planner worker pool");
-                pool.install(|| {
-                    while let Some(ticket) = queue.claim(stream, w) {
-                        // A crash takes effect at the claim boundary:
-                        // the dead host's worker hands the ticket
-                        // straight back for the survivors. The abandon
-                        // bumps the queue's `reissued` counter, so it
-                        // records a re-issue span like the crash sweep
-                        // (lane = the dead host).
-                        if !membership.is_alive(host) {
-                            queue.abandon(ticket.index, w);
-                            if sink.is_enabled() {
-                                let t = sink.now_us();
-                                sink.record(Span {
-                                    kind: SpanKind::TicketReissue,
-                                    iteration: ticket.index as i64,
-                                    lane: host as i64,
-                                    start_us: t,
-                                    end_us: t,
-                                    ..Span::default()
-                                });
-                            }
-                            return;
-                        }
-                        // A scripted straggle delays this host's next
-                        // attempt *before* planning starts — the window
-                        // the executor's re-issue deadline is built to
-                        // detect.
-                        if let Some(delay) = membership.take_straggle(host) {
-                            std::thread::sleep(delay);
-                        }
-                        // The claim is recorded only once the holder
-                        // commits to planning (a dead host's claim is
-                        // abandoned above, not a lifecycle event).
+                while let Some(ticket) = queue.claim(stream, w) {
+                    // A crash takes effect at the claim boundary:
+                    // the dead host's worker hands the ticket
+                    // straight back for the survivors. The abandon
+                    // bumps the queue's `reissued` counter, so it
+                    // records a re-issue span like the crash sweep
+                    // (lane = the dead host).
+                    if !membership.is_alive(host) {
+                        queue.abandon(ticket.index, w);
                         if sink.is_enabled() {
                             let t = sink.now_us();
                             sink.record(Span {
-                                kind: SpanKind::TicketClaim,
+                                kind: SpanKind::TicketReissue,
                                 iteration: ticket.index as i64,
-                                lane: w as i64,
-                                host: cluster.planner_global(host) as i64,
+                                lane: host as i64,
                                 start_us: t,
                                 end_us: t,
-                                generation: ticket.generation,
                                 ..Span::default()
                             });
                         }
-                        let guard = TicketGuard::new(queue, Some(store));
-                        // Shared with the core runtime's store-backed
-                        // worker: plan, lower owned, encode, push. Under
-                        // churn an iteration may race two byte-identical
-                        // blobs (straggler vs re-issue): whichever lands
-                        // second is discarded at the store door.
-                        let push = plan_lower_push_traced(
-                            planner,
-                            store,
-                            cluster.codec,
-                            ticket.index,
-                            &ticket.batch,
-                            DuplicatePush::Discard,
-                            &TicketTraceCtx {
-                                sink,
-                                worker: w as i64,
-                                host: cluster.planner_global(host) as i64,
-                                shard: (ticket.index % cluster.num_shards()) as i64,
-                                generation: ticket.generation,
-                            },
-                        );
-                        if push.discarded {
-                            ledger
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .duplicate_blobs_discarded += 1;
-                        }
-                        let outcome = queue.complete(
-                            ticket.index,
-                            ticket.generation,
-                            ClusterPlanned {
-                                worker: w,
-                                plan_us: push.plan_us,
-                                lower_us: push.lower_us,
-                                serialize_us: push.serialize_us,
-                                blob_bytes: push.blob_bytes,
-                                pushed_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                            },
-                        );
-                        guard.disarm();
-                        if sink.is_enabled() {
-                            let t = sink.now_us();
-                            sink.record(Span {
-                                kind: SpanKind::TicketComplete,
-                                iteration: ticket.index as i64,
-                                lane: w as i64,
-                                host: cluster.planner_global(host) as i64,
-                                start_us: t,
-                                end_us: t,
-                                // 1 when the queue accepted this
-                                // completion; 0 when it lost the churn
-                                // race to a re-issued generation.
-                                bytes: (outcome == CompleteOutcome::Accepted) as u64,
-                                generation: ticket.generation,
-                                ..Span::default()
-                            });
-                        }
-                        if !membership.is_alive(host) {
-                            return; // crashed mid-plan: stop claiming
-                        }
+                        return;
                     }
-                });
+                    // A scripted straggle delays this host's next
+                    // attempt *before* planning starts — the window
+                    // the executor's re-issue deadline is built to
+                    // detect.
+                    if let Some(delay) = membership.take_straggle(host) {
+                        std::thread::sleep(delay);
+                    }
+                    // The claim is recorded only once the holder
+                    // commits to planning (a dead host's claim is
+                    // abandoned above, not a lifecycle event).
+                    if sink.is_enabled() {
+                        let t = sink.now_us();
+                        sink.record(Span {
+                            kind: SpanKind::TicketClaim,
+                            iteration: ticket.index as i64,
+                            lane: w as i64,
+                            host: cluster.planner_global(host) as i64,
+                            start_us: t,
+                            end_us: t,
+                            generation: ticket.generation,
+                            ..Span::default()
+                        });
+                    }
+                    let guard = TicketGuard::new(queue, Some(store));
+                    // Shared with the core runtime's store-backed
+                    // worker: plan, lower owned, encode, push. Under
+                    // churn an iteration may race two byte-identical
+                    // blobs (straggler vs re-issue): whichever lands
+                    // second is discarded at the store door.
+                    let push = plan_lower_push_traced(
+                        planner,
+                        store,
+                        cluster.codec,
+                        ticket.index,
+                        &ticket.batch,
+                        DuplicatePush::Discard,
+                        &TicketTraceCtx {
+                            sink,
+                            worker: w as i64,
+                            host: cluster.planner_global(host) as i64,
+                            shard: (ticket.index % cluster.num_shards()) as i64,
+                            generation: ticket.generation,
+                        },
+                    );
+                    if push.discarded {
+                        ledger
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .duplicate_blobs_discarded += 1;
+                    }
+                    let outcome = queue.complete(
+                        ticket.index,
+                        ticket.generation,
+                        ClusterPlanned {
+                            worker: w,
+                            plan_us: push.plan_us,
+                            lower_us: push.lower_us,
+                            serialize_us: push.serialize_us,
+                            blob_bytes: push.blob_bytes,
+                            pushed_at_us: t0.elapsed().as_secs_f64() * 1e6,
+                        },
+                    );
+                    guard.disarm();
+                    if sink.is_enabled() {
+                        let t = sink.now_us();
+                        sink.record(Span {
+                            kind: SpanKind::TicketComplete,
+                            iteration: ticket.index as i64,
+                            lane: w as i64,
+                            host: cluster.planner_global(host) as i64,
+                            start_us: t,
+                            end_us: t,
+                            // 1 when the queue accepted this
+                            // completion; 0 when it lost the churn
+                            // race to a re-issued generation.
+                            bytes: (outcome == CompleteOutcome::Accepted) as u64,
+                            generation: ticket.generation,
+                            ..Span::default()
+                        });
+                    }
+                    if !membership.is_alive(host) {
+                        return; // crashed mid-plan: stop claiming
+                    }
+                }
             });
         }
 

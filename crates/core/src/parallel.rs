@@ -31,10 +31,11 @@ pub struct ParallelPlanStats {
     /// during the session — the memory high-water mark beyond the
     /// caller's inputs is this many partial plans, not (as with the old
     /// staged queue) the whole session's mini-batches. Exactly bounded by
-    /// the worker count under the vendored rayon shim (nested work runs
-    /// in the caller's slot); a work-stealing pool could briefly exceed
-    /// it while a worker blocks in nested parallelism, but it stays
-    /// O(pool), never O(session).
+    /// the worker count: the session runs under `ThreadPool::install`,
+    /// whose budget covers nested parallel work too, and the vendored
+    /// rayon shim never lets a thread waiting on nested work claim
+    /// another mini-batch. A work-stealing pool that did could briefly
+    /// exceed it, but it would stay O(pool), never O(session).
     pub peak_in_flight: usize,
 }
 
@@ -53,8 +54,9 @@ impl ParallelPlanStats {
     }
 }
 
-/// Plan all `minibatches` on a pool of `workers` threads, pushing results
-/// into `store` keyed by iteration index.
+/// Plan all `minibatches` with at most `workers` threads of the rayon
+/// pool working at once, pushing results into `store` keyed by iteration
+/// index.
 ///
 /// Workers receive mini-batches as borrowed slices (`&minibatches[i]`);
 /// plan outputs are serialized with `codec` into
@@ -189,10 +191,13 @@ mod tests {
         // holds work only inside the pool — at most `workers` plan
         // computations (and their partial state) exist at once, however
         // many mini-batches the session has.
-        // The exact `<= workers` bound relies on the vendored rayon shim
-        // running nested parallel work in the caller's slot; if the shim
-        // is ever swapped for real work-stealing rayon, this needs a
-        // small +pool slack (see the `peak_in_flight` field docs).
+        // The exact `<= workers` bound relies on two properties of the
+        // vendored rayon shim: `install(workers)` caps every thread
+        // working inside it, nested planner calls included, and a thread
+        // that waits on its nested work only helps that nested work,
+        // never claims another mini-batch. Real work-stealing rayon lacks
+        // the second; swapping it in needs a small +pool slack (see the
+        // `peak_in_flight` field docs).
         let mbs = minibatches(6);
         let store = InstructionStore::new();
         let stats = generate_plans_parallel(planner(), &mbs, 2, &store, PlanCodec::Binary);

@@ -1515,106 +1515,87 @@ pub fn run_training_pipelined_traced(
         }
     };
 
-    // Nested parallelism budget per planner worker: the pool's threads are
-    // split across workers, mirroring how generate_plans_parallel's pool
-    // runs nested planning work within each worker's slot.
-    let nested_threads = (rayon::current_num_threads() / config.workers).max(1);
-
     std::thread::scope(|scope| {
         for worker in 0..config.workers {
             let queue = &queue;
             let stream = &stream;
             let store = store.as_ref();
             scope.spawn(move || {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(nested_threads)
-                    .build()
-                    .expect("planner worker pool");
-                pool.install(|| {
-                    while let Some(ticket) = queue.claim(stream, worker) {
-                        let (index, batch) = (ticket.index, &ticket.batch);
-                        let ticket_span = |kind: SpanKind, start_us: f64, end_us: f64| Span {
-                            kind,
-                            iteration: index as i64,
-                            lane: worker as i64,
-                            host: 0,
-                            start_us,
-                            end_us,
-                            generation: ticket.generation,
-                            ..Span::default()
-                        };
-                        let claim_at = sink.now_us();
-                        sink.record(ticket_span(SpanKind::TicketClaim, claim_at, claim_at));
-                        let guard = TicketGuard::new(queue, store);
-                        // The lowering stage runs on the worker either
-                        // way, so the executor receives ready-to-run
-                        // programs.
-                        let planned = match store {
-                            None => {
-                                let s_plan = sink.now_us();
-                                // lint:allow(wall-clock): plan timing for RuntimeStats.planning_us, a stats field only
-                                let t_plan = Instant::now();
-                                let planned = planner.plan(batch);
-                                let plan_us = t_plan.elapsed().as_secs_f64() * 1e6;
-                                sink.record(ticket_span(
-                                    SpanKind::TicketPlan,
-                                    s_plan,
-                                    sink.now_us(),
-                                ));
-                                let s_lower = sink.now_us();
-                                // lint:allow(wall-clock): lowering timing for RuntimeStats stats fields only
-                                let t_lower = Instant::now();
-                                let outcome = planned.map(|p| lower_iteration(cm, p));
-                                let lower_us = t_lower.elapsed().as_secs_f64() * 1e6;
-                                sink.record(ticket_span(
-                                    SpanKind::TicketLower,
-                                    s_lower,
-                                    sink.now_us(),
-                                ));
-                                PlannedIteration {
-                                    payload: PlannedPayload::InProcess(Box::new(outcome)),
-                                    plan_us,
-                                    lower_us,
-                                    ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                                }
+                while let Some(ticket) = queue.claim(stream, worker) {
+                    let (index, batch) = (ticket.index, &ticket.batch);
+                    let ticket_span = |kind: SpanKind, start_us: f64, end_us: f64| Span {
+                        kind,
+                        iteration: index as i64,
+                        lane: worker as i64,
+                        host: 0,
+                        start_us,
+                        end_us,
+                        generation: ticket.generation,
+                        ..Span::default()
+                    };
+                    let claim_at = sink.now_us();
+                    sink.record(ticket_span(SpanKind::TicketClaim, claim_at, claim_at));
+                    let guard = TicketGuard::new(queue, store);
+                    // The lowering stage runs on the worker either
+                    // way, so the executor receives ready-to-run
+                    // programs.
+                    let planned = match store {
+                        None => {
+                            let s_plan = sink.now_us();
+                            // lint:allow(wall-clock): plan timing for RuntimeStats.planning_us, a stats field only
+                            let t_plan = Instant::now();
+                            let planned = planner.plan(batch);
+                            let plan_us = t_plan.elapsed().as_secs_f64() * 1e6;
+                            sink.record(ticket_span(SpanKind::TicketPlan, s_plan, sink.now_us()));
+                            let s_lower = sink.now_us();
+                            // lint:allow(wall-clock): lowering timing for RuntimeStats stats fields only
+                            let t_lower = Instant::now();
+                            let outcome = planned.map(|p| lower_iteration(cm, p));
+                            let lower_us = t_lower.elapsed().as_secs_f64() * 1e6;
+                            sink.record(ticket_span(SpanKind::TicketLower, s_lower, sink.now_us()));
+                            PlannedIteration {
+                                payload: PlannedPayload::InProcess(Box::new(outcome)),
+                                plan_us,
+                                lower_us,
+                                ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
                             }
-                            Some(store) => {
-                                let push = plan_lower_push_traced(
-                                    planner,
-                                    store,
-                                    config.codec,
-                                    index,
-                                    batch,
-                                    DuplicatePush::Fail,
-                                    &TicketTraceCtx {
-                                        sink,
-                                        worker: worker as i64,
-                                        host: 0,
-                                        shard: 0,
-                                        generation: ticket.generation,
-                                    },
-                                );
-                                PlannedIteration {
-                                    payload: PlannedPayload::Stored {
-                                        serialize_us: push.serialize_us,
-                                        blob_bytes: push.blob_bytes,
-                                    },
-                                    plan_us: push.plan_us,
-                                    lower_us: push.lower_us,
-                                    ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                                }
+                        }
+                        Some(store) => {
+                            let push = plan_lower_push_traced(
+                                planner,
+                                store,
+                                config.codec,
+                                index,
+                                batch,
+                                DuplicatePush::Fail,
+                                &TicketTraceCtx {
+                                    sink,
+                                    worker: worker as i64,
+                                    host: 0,
+                                    shard: 0,
+                                    generation: ticket.generation,
+                                },
+                            );
+                            PlannedIteration {
+                                payload: PlannedPayload::Stored {
+                                    serialize_us: push.serialize_us,
+                                    blob_bytes: push.blob_bytes,
+                                },
+                                plan_us: push.plan_us,
+                                lower_us: push.lower_us,
+                                ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
                             }
-                        };
-                        let outcome = queue.complete(index, ticket.generation, planned);
-                        let done_at = sink.now_us();
-                        sink.record(Span {
-                            // `bytes` flags acceptance: 1 accepted, 0 stale/cancelled.
-                            bytes: (outcome == CompleteOutcome::Accepted) as u64,
-                            ..ticket_span(SpanKind::TicketComplete, done_at, done_at)
-                        });
-                        guard.disarm();
-                    }
-                });
+                        }
+                    };
+                    let outcome = queue.complete(index, ticket.generation, planned);
+                    let done_at = sink.now_us();
+                    sink.record(Span {
+                        // `bytes` flags acceptance: 1 accepted, 0 stale/cancelled.
+                        bytes: (outcome == CompleteOutcome::Accepted) as u64,
+                        ..ticket_span(SpanKind::TicketComplete, done_at, done_at)
+                    });
+                    guard.disarm();
+                }
             });
         }
 

@@ -14,15 +14,16 @@
 
 use dynapipe_core::{
     run_training, run_training_pipelined_traced, BaselineKind, BaselinePlanner, DynaPipePlanner,
-    IterationPlanner, PlanCodec, PlanDistribution, PlannerConfig, RunConfig, RunReport,
-    RuntimeConfig, RuntimeStats,
+    IterationPlan, IterationPlanner, PlanCodec, PlanDistribution, PlanError, PlannerConfig,
+    RunConfig, RunReport, RuntimeConfig, RuntimeStats,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, GlobalBatchConfig, Sample};
+use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use dynapipe_sim::JitterConfig;
 use dynapipe_trace::{sim_eq, TraceSink};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Span-ring capacity for the traced matrix runs: large enough that no
 /// scenario drops a span (drops would fail `reconcile`).
@@ -228,6 +229,66 @@ fn baseline_planners_run_pipelined_too() {
     );
 }
 
+/// Delegates to a planner, but plans the mini-batch holding sample
+/// `failing` only once the mini-batch starting with sample `next` has
+/// been planned as often as the failing one has been requested. Tickets
+/// are claimed in order and a claimed plan is always pushed, so with two
+/// workers and a window > 1 the iteration after the failure is planned
+/// and pushed before the failure reaches the executor.
+struct FailAfterLookahead<'a> {
+    inner: &'a DynaPipePlanner,
+    failing: u64,
+    next: u64,
+    /// (failing plans requested, `next` plans finished)
+    counts: Mutex<(usize, usize)>,
+    planned_next: Condvar,
+}
+
+impl<'a> FailAfterLookahead<'a> {
+    fn new(inner: &'a DynaPipePlanner, failing: u64, next: u64) -> Self {
+        FailAfterLookahead {
+            inner,
+            failing,
+            next,
+            counts: Mutex::new((0, 0)),
+            planned_next: Condvar::new(),
+        }
+    }
+}
+
+impl IterationPlanner for FailAfterLookahead<'_> {
+    fn plan(&self, minibatch: &[Sample]) -> Result<IterationPlan, PlanError> {
+        if minibatch.iter().any(|s| s.id == self.failing) {
+            let mut counts = self.counts.lock().unwrap();
+            counts.0 += 1;
+            let want = counts.0;
+            let (_counts, wait) = self
+                .planned_next
+                .wait_timeout_while(counts, Duration::from_secs(60), |c| c.1 < want)
+                .unwrap();
+            assert!(
+                !wait.timed_out(),
+                "the iteration after the failure was never planned"
+            );
+            return self.inner.plan(minibatch);
+        }
+        let out = self.inner.plan(minibatch);
+        if minibatch.first().map(|s| s.id) == Some(self.next) {
+            self.counts.lock().unwrap().1 += 1;
+            self.planned_next.notify_all();
+        }
+        out
+    }
+
+    fn cost_model(&self) -> &CostModel {
+        IterationPlanner::cost_model(self.inner)
+    }
+
+    fn label(&self) -> String {
+        IterationPlanner::label(self.inner)
+    }
+}
+
 #[test]
 fn failure_mid_epoch_stops_all_runtimes_at_the_same_iteration() {
     // A 2M-token monster sample lands alone in a mini-batch a few
@@ -274,18 +335,31 @@ fn failure_mid_epoch_stops_all_runtimes_at_the_same_iteration() {
         "unexpected failure placement: {:?}",
         serial.failure
     );
+    // With a window > 1 the failing plan is held back until the next
+    // iteration has been planned, so a speculative blob past the failure
+    // exists on every run instead of only when the workers happen to
+    // outrun the executor.
+    let batches: Vec<Vec<Sample>> = GlobalBatchIter::new(&dataset, gbs).collect();
+    let lookahead = FailAfterLookahead::new(&planner, 130, batches[failed_at + 1][0].id);
     for (plan_ahead, workers) in [(1, 1), (4, 2)] {
+        let planner: &dyn IterationPlanner = if plan_ahead > 1 { &lookahead } else { &planner };
         let (ip_stats, sb_stats) = assert_distribution_matrix(
-            &planner, &dataset, gbs, run, plan_ahead, workers, &serial,
+            planner, &dataset, gbs, run, plan_ahead, workers, &serial,
         );
         // Speculative plans beyond the failure never become records.
         assert_eq!(ip_stats.planning_us.len(), failed_at);
         assert_eq!(sb_stats.planning_us.len(), failed_at);
-        // No orphaned blobs (asserted in the matrix helper), and with a
-        // window > 1 the speculative blobs past the failure really
-        // existed and were discarded rather than leaked.
+        // No orphaned blobs (asserted in the matrix helper): every pushed
+        // blob was taken or discarded, and with a window > 1 the
+        // speculative blobs past the failure really existed and were
+        // discarded rather than leaked.
         let store = sb_stats.store.as_ref().unwrap();
         assert_eq!(store.occupancy, 0);
+        assert_eq!(
+            store.pushes,
+            store.takes + store.discarded,
+            "pushed blobs must all be taken or discarded: {store:?}"
+        );
         if plan_ahead > 1 {
             assert!(
                 store.discarded > 0,
