@@ -4,7 +4,7 @@
 //! Runs the fig17 workload (65k-token mini-batches, 8 GPUs) at dp=2 —
 //! GPT 6.7B (dp2·pp4) and T5 11B (dp2·tp4) — through the serial driver
 //! and a topology × codec matrix of
-//! [`dynapipe_cluster::run_training_cluster`]:
+//! [`dynapipe_cluster::run_training_cluster_traced`]:
 //!
 //! * `1p×1w→1e` over free local links — the degenerate single-host
 //!   deployment, the control arm;
@@ -66,7 +66,7 @@
 
 use dynapipe_bench::{write_json, write_root_artifact, BenchOpts};
 use dynapipe_cluster::{
-    run_training_cluster, run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig,
+    run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig,
     ClusterReport, StorePlacement,
 };
 use dynapipe_core::{
@@ -275,7 +275,14 @@ fn run_model(
     let arms: Vec<Arm> = topologies()
         .into_iter()
         .map(|cluster| {
-            let (report, stats) = run_training_cluster(&planner, dataset, gbs, run, cluster);
+            let (report, stats) = run_training_cluster_traced(
+                &planner,
+                dataset,
+                gbs,
+                run,
+                cluster,
+                &TraceSink::disabled(),
+            );
             Arm {
                 divergence: serial.behavior_eq(&report).err(),
                 stats,
@@ -287,7 +294,14 @@ fn run_model(
         .map(|codec| {
             let cluster = churn_topology(iters, codec);
             let label = cluster.label();
-            let (report, stats) = run_training_cluster(&planner, dataset, gbs, run, cluster);
+            let (report, stats) = run_training_cluster_traced(
+                &planner,
+                dataset,
+                gbs,
+                run,
+                cluster,
+                &TraceSink::disabled(),
+            );
             // The undisturbed baseline is the matrix arm with the same
             // topology and codec, measured moments earlier in this run.
             let undisturbed_wall_us = arms
@@ -389,7 +403,14 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
                         fabric: fabric.clone(),
                         ..Default::default()
                     };
-                    let (report, stats) = run_training_cluster(&planner, dataset, gbs, run, cfg);
+                    let (report, stats) = run_training_cluster_traced(
+                        &planner,
+                        dataset,
+                        gbs,
+                        run,
+                        cfg,
+                        &TraceSink::disabled(),
+                    );
                     cells.push(DatacenterCell {
                         divergence: serial.behavior_eq(&report).err(),
                         stats,
@@ -420,7 +441,14 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
                     ),
                     ..Default::default()
                 };
-                let (report, stats) = run_training_cluster(&planner, dataset, gbs, run, cfg);
+                let (report, stats) = run_training_cluster_traced(
+                    &planner,
+                    dataset,
+                    gbs,
+                    run,
+                    cfg,
+                    &TraceSink::disabled(),
+                );
                 cells.push(DatacenterCell {
                     divergence: serial.behavior_eq(&report).err(),
                     stats,

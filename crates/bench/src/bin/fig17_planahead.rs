@@ -7,15 +7,17 @@
 //! * **serial**: [`run_training`] — the golden-reference plan → simulate
 //!   loop, where every microsecond of planning sits on the training
 //!   timeline;
-//! * **pipelined (in-process)**: [`run_training_pipelined`] — the
+//! * **pipelined (in-process)**: [`run_training_pipelined_traced`] — the
 //!   plan-ahead runtime: a planner pool plans ahead of a bounded window
 //!   while the executor runs the current iteration (replicas in
 //!   parallel, programs pre-compiled by the lowering stage);
-//! * **pipelined (store-backed)**: the same runtime with
-//!   [`PlanDistribution::StoreBacked`] — plans cross the instruction
-//!   store as serialized wire blobs (the paper's Fig. 9 Redis
-//!   architecture), so this arm additionally pays and reports
-//!   serialize/deserialize overhead. The store arm runs **three times**,
+//! * **pipelined (store-backed)**: the cluster runtime
+//!   ([`run_training_cluster_traced`]) at its single-host topology — one
+//!   planner host with the same worker count and window, one executor
+//!   host, free links — so plans cross the instruction store as
+//!   serialized wire blobs (the paper's Fig. 9 Redis architecture) and
+//!   this arm additionally pays and reports serialize/decode overhead.
+//!   The store arm runs **three times**,
 //!   once per wire codec ([`PlanCodec::Json`], the length-prefixed
 //!   [`PlanCodec::Binary`], and the zero-copy [`PlanCodec::Flat`], whose
 //!   executors run engines straight over the fetched bytes), reporting
@@ -30,8 +32,9 @@
 //! milliseconds; the simulator compresses execution, so host wall alone
 //! cannot exhibit the overlap the paper measures. `serial_wall_us` is
 //! Σ(planning + execution); `pipelined_wall_us` is the runtime's virtual
-//! clock, which only waits for plans that are not ready yet
-//! (`exposed_planning_us`). Host walls of both drivers are reported too.
+//! clock (the cluster wall for the store arms), which only waits for
+//! plans that are not ready yet (`exposed_planning_us`). Host walls of
+//! every driver are reported too.
 //!
 //! Emits `BENCH_runtime.json` with `{serial_wall_us, pipelined_wall_us,
 //! exposed_planning_us, hidden_planning_us, overlap_ratio}` plus
@@ -44,13 +47,16 @@
 //! iteration, so the store arm's divergence check runs in CI in minutes.
 
 use dynapipe_bench::{write_json, write_root_artifact, BenchOpts, Point};
+use dynapipe_cluster::{run_training_cluster_traced, ClusterConfig};
 use dynapipe_core::{
-    run_training, run_training_pipelined, DynaPipePlanner, PlanCodec, PlanDistribution,
-    PlannerConfig, RunConfig, RuntimeConfig,
+    run_training, run_training_pipelined_traced, DynaPipePlanner, PlanCodec, PlannerConfig,
+    RunConfig, RuntimeConfig,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+use dynapipe_sim::Fabric;
+use dynapipe_trace::TraceSink;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,12 +65,13 @@ struct ArmOutcome {
     total_planning_us: f64,
     exposed_us: f64,
     hidden_us: f64,
-    /// The library's `RuntimeStats::overlap_ratio` — single definition.
+    /// The library's `RuntimeStats::overlap_ratio` /
+    /// `ClusterReport::overlap_ratio` — single definitions.
     overlap_ratio: f64,
     host_us: f64,
-    /// Worker-side serialize time (µs; store arm only).
+    /// Worker-side encode + push time (µs; store arm only).
     serialize_us: f64,
-    /// Executor-side take+decode time (µs; store arm only).
+    /// Executor-side decode time (µs; store arm only).
     deserialize_us: f64,
     /// Total wire bytes pushed through the store (store arm only).
     blob_bytes: u64,
@@ -124,42 +131,66 @@ fn run_model(
         .map(|r| r.planning_time_us + r.measured_time)
         .sum();
 
-    let arm = |distribution: PlanDistribution, codec: PlanCodec| -> (ArmOutcome, usize) {
+    let t1 = Instant::now();
+    let (pipelined, stats) = run_training_pipelined_traced(
+        &planner,
+        dataset,
+        gbs,
+        run,
+        runtime,
+        &TraceSink::disabled(),
+    );
+    let in_process = ArmOutcome {
+        pipelined_wall_us: stats.pipelined_wall_us,
+        total_planning_us: stats.total_planning_us(),
+        exposed_us: stats.exposed_planning_us(),
+        hidden_us: stats.hidden_planning_us(),
+        overlap_ratio: stats.overlap_ratio(),
+        host_us: t1.elapsed().as_secs_f64() * 1e6,
+        serialize_us: 0.0,
+        deserialize_us: 0.0,
+        blob_bytes: 0,
+        divergence: serial.behavior_eq(&pipelined).err(),
+    };
+    let iterations = pipelined.records.len();
+    // The store arms: plans cross the instruction store between one
+    // planner host and one executor host; free links keep the wire out
+    // of the comparison with the in-process arm.
+    let store_arm = |codec: PlanCodec| -> ArmOutcome {
+        let cluster = ClusterConfig {
+            planner_hosts: 1,
+            workers_per_host: runtime.workers,
+            executor_hosts: 1,
+            plan_ahead: runtime.plan_ahead,
+            codec,
+            fabric: Fabric::free(),
+            ..Default::default()
+        };
         let t1 = Instant::now();
-        let (pipelined, stats) = run_training_pipelined(
+        let (report, stats) = run_training_cluster_traced(
             &planner,
             dataset,
             gbs,
             run,
-            RuntimeConfig {
-                distribution,
-                codec,
-                ..runtime
-            },
+            cluster,
+            &TraceSink::disabled(),
         );
-        let host_us = t1.elapsed().as_secs_f64() * 1e6;
-        (
-            ArmOutcome {
-                pipelined_wall_us: stats.pipelined_wall_us,
-                total_planning_us: stats.total_planning_us(),
-                exposed_us: stats.exposed_planning_us(),
-                hidden_us: stats.hidden_planning_us(),
-                overlap_ratio: stats.overlap_ratio(),
-                host_us,
-                // `+ 0.0` maps the empty-sum -0.0 identity (in-process
-                // arm) to a plain 0.0 in the artifact.
-                serialize_us: stats.serialize_us.iter().sum::<f64>() + 0.0,
-                deserialize_us: stats.deserialize_us.iter().sum::<f64>() + 0.0,
-                blob_bytes: stats.blob_bytes.iter().map(|&b| b as u64).sum(),
-                divergence: serial.behavior_eq(&pipelined).err(),
-            },
-            pipelined.records.len(),
-        )
+        ArmOutcome {
+            pipelined_wall_us: stats.cluster_wall_us,
+            total_planning_us: stats.total_planning_us,
+            exposed_us: stats.exposed_us,
+            hidden_us: stats.hidden_us(),
+            overlap_ratio: stats.overlap_ratio,
+            host_us: t1.elapsed().as_secs_f64() * 1e6,
+            serialize_us: stats.serialize_us,
+            deserialize_us: stats.decode_us,
+            blob_bytes: stats.planner_hosts.iter().map(|h| h.bytes_pushed).sum(),
+            divergence: serial.behavior_eq(&report).err(),
+        }
     };
-    let (in_process, iterations) = arm(PlanDistribution::InProcess, PlanCodec::Json);
-    let (store_backed, _) = arm(PlanDistribution::StoreBacked, PlanCodec::Json);
-    let (store_binary, _) = arm(PlanDistribution::StoreBacked, PlanCodec::Binary);
-    let (store_flat, _) = arm(PlanDistribution::StoreBacked, PlanCodec::Flat);
+    let store_backed = store_arm(PlanCodec::Json);
+    let store_binary = store_arm(PlanCodec::Binary);
+    let store_flat = store_arm(PlanCodec::Flat);
     ModelOutcome {
         name,
         iterations,

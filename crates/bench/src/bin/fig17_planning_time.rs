@@ -5,16 +5,18 @@
 //! (b) Ratio of planning time to simulated iteration time — the number of
 //!     CPU cores needed to fully overlap planning with training.
 //!
-//! Also demonstrates the worker-pool planner (§3) pushing plans through the
-//! instruction store.
+//! Also demonstrates the planner worker pool (§3) pushing plans through
+//! the instruction store: the cluster runtime with one planner host of 1
+//! and then 4 workers feeding one executor host over free links.
 
 use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
-use dynapipe_core::{
-    parallel::generate_plans_parallel, DynaPipePlanner, InstructionStore, PlannerConfig,
-};
+use dynapipe_cluster::{run_training_cluster_traced, ClusterConfig};
+use dynapipe_core::{DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::Dataset;
+use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+use dynapipe_sim::Fabric;
+use dynapipe_trace::TraceSink;
 use std::sync::Arc;
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -86,37 +88,47 @@ fn main() {
         }
     }
 
-    // Parallel planning demonstration (planner worker pool + store).
-    println!("\nworker-pool planning (GBS 65536, GPT):");
+    // Planner worker pool + store demonstration.
+    println!("\nworker-pool planning (GBS 65536, GPT, 1 planner host -> 1 executor host):");
     let cm = Arc::new(CostModel::build(
         hw.clone(),
         ModelConfig::gpt_6_7b(),
         ParallelConfig::new(1, 2, 4),
         &ProfileOptions::default(),
     ));
-    let planner = Arc::new(DynaPipePlanner::new(cm, PlannerConfig::default()));
-    let point = Point {
-        model: ModelConfig::gpt_6_7b(),
-        num_gpus: 8,
+    let planner = DynaPipePlanner::new(cm, PlannerConfig::default());
+    let gbs = GlobalBatchConfig {
+        tokens_per_batch: 65536,
         max_seq_len: 4096,
-        gbs_tokens: 65536,
     };
-    let minibatches = probe_minibatches(&dataset, &point, 8);
+    let run = RunConfig {
+        max_iterations: Some(8),
+        ..Default::default()
+    };
     for workers in [1usize, 4] {
-        let store = InstructionStore::new();
-        let stats = generate_plans_parallel(
-            planner.clone(),
-            &minibatches,
-            workers,
-            &store,
-            dynapipe_core::PlanCodec::Binary,
+        let cluster = ClusterConfig {
+            planner_hosts: 1,
+            workers_per_host: workers,
+            executor_hosts: 1,
+            plan_ahead: 8,
+            codec: PlanCodec::Binary,
+            fabric: Fabric::free(),
+            ..Default::default()
+        };
+        let (_, stats) = run_training_cluster_traced(
+            &planner,
+            &dataset,
+            gbs,
+            run,
+            cluster,
+            &TraceSink::disabled(),
         );
+        let plan_us: f64 = stats.planner_hosts.iter().map(|h| h.plan_us).sum();
         println!(
-            "  {workers} worker(s): wall {:8.1} ms, cpu {:8.1} ms, effective speedup {:.2}x, {} plans stored",
-            stats.wall_us / 1e3,
-            stats.total_cpu_us() / 1e3,
-            stats.speedup(),
-            store.len()
+            "  {workers} worker(s): {} plans pushed, plan {:8.1} ms summed, host wall {:8.1} ms",
+            stats.store.pushes,
+            plan_us / 1e3,
+            stats.host_wall_us / 1e3,
         );
     }
     println!(

@@ -9,8 +9,10 @@
 //!   [`PlanAheadQueue`] (ticket order == stream order), plan, lower to
 //!   *owned* programs, encode with the configured
 //!   [`dynapipe_core::PlanCodec`] and push the blob into the
-//!   [`InstructionStore`] — exactly the store-backed worker of the core
-//!   runtime, annotated with which host produced the plan.
+//!   [`InstructionStore`] — the shared worker body
+//!   [`plan_lower_push_traced`], annotated with which host produced the
+//!   plan. This is the only runtime whose plans cross the store; the
+//!   core runtime hands plans over in-process.
 //! * **The store** lives where [`crate::StorePlacement`] says: on
 //!   executor host 0 (the paper's Redis placement), or sharded one
 //!   shard per executor host with iteration `i` owned by shard
@@ -65,8 +67,8 @@ use dynapipe_core::driver::{record_iteration, IterationPlanner, RunConfig, RunRe
 use dynapipe_core::planner::{IterationPlan, PlanError};
 use dynapipe_core::runtime::{
     decode_for_execution, execute_lowered, plan_lower_push_traced, record_sim_iteration,
-    CompleteOutcome, DuplicatePush, PlanAheadQueue, ReplicaParallelism, ReplicaPrograms,
-    TicketGuard, TicketTraceCtx, WaitOutcome,
+    CompleteOutcome, PlanAheadQueue, ReplicaParallelism, ReplicaPrograms, TicketGuard,
+    TicketTraceCtx, WaitOutcome,
 };
 use dynapipe_core::store::InstructionStore;
 use dynapipe_trace::{Span, SpanKind, TraceSink};
@@ -136,6 +138,25 @@ pub fn placed_host(placement: &[usize], replica: usize) -> Result<usize, String>
     })
 }
 
+/// Executor-side teardown, run when the executor leaves its loop by
+/// returning or by unwinding: stop workers waiting on the window or about
+/// to claim past a failure, wake a prefetcher stuck on a plan that will
+/// never come, and release the workers of scripted-join hosts whose
+/// event never fired. Without it a re-raised planner panic would leave a
+/// parked join-host worker blocked and the thread scope would never
+/// join.
+struct Teardown<'a, T> {
+    queue: &'a PlanAheadQueue<T>,
+    membership: &'a Membership,
+}
+
+impl<T> Drop for Teardown<'_, T> {
+    fn drop(&mut self) {
+        self.queue.cancel();
+        self.membership.shutdown();
+    }
+}
+
 enum Prefetched {
     Iteration(Box<ClaimedCluster>),
     EndOfEpoch,
@@ -145,29 +166,18 @@ enum Prefetched {
 }
 
 /// Run (a prefix of) one training epoch on the simulated multi-host
-/// cluster.
+/// cluster, recording spans into `sink` (pass [`TraceSink::disabled`] to
+/// record nothing): ticket lifecycle, store traffic and churn actions as
+/// `Host`-domain spans, per-blob link transfers (push / fetch / restore,
+/// with the FIFO queue-wait split out), per-host exposure, and the
+/// executed iterations as `Sim`-domain spans on the ideal simulated
+/// timeline.
 ///
 /// The returned [`RunReport`] is bit-identical to
 /// [`dynapipe_core::run_training`] with the same arguments — any
 /// topology, codec or link speed (`RunReport::behavior_eq`; pinned by
 /// `tests/cluster_equivalence.rs`). The [`ClusterReport`] carries the
 /// per-host and wire accounting.
-pub fn run_training_cluster(
-    planner: &dyn IterationPlanner,
-    dataset: &Dataset,
-    gbs: GlobalBatchConfig,
-    run: RunConfig,
-    cluster: ClusterConfig,
-) -> (RunReport, ClusterReport) {
-    run_training_cluster_traced(planner, dataset, gbs, run, cluster, &TraceSink::disabled())
-}
-
-/// [`run_training_cluster`] with span recording into `sink`: ticket
-/// lifecycle, store traffic and churn actions as `Host`-domain spans,
-/// per-blob link transfers (push / fetch / restore, with the FIFO
-/// queue-wait split out), per-host exposure, and the executed
-/// iterations as `Sim`-domain spans on the ideal simulated timeline.
-/// With a disabled sink this *is* `run_training_cluster`.
 pub fn run_training_cluster_traced(
     planner: &dyn IterationPlanner,
     dataset: &Dataset,
@@ -319,18 +329,16 @@ pub fn run_training_cluster_traced(
                         });
                     }
                     let guard = TicketGuard::new(queue, Some(store));
-                    // Shared with the core runtime's store-backed
-                    // worker: plan, lower owned, encode, push. Under
-                    // churn an iteration may race two byte-identical
-                    // blobs (straggler vs re-issue): whichever lands
-                    // second is discarded at the store door.
+                    // Plan, lower owned, encode, push. Under churn an
+                    // iteration may race two byte-identical blobs
+                    // (straggler vs re-issue): whichever lands second
+                    // is discarded at the store door.
                     let push = plan_lower_push_traced(
                         planner,
                         store,
                         cluster.codec,
                         ticket.index,
                         &ticket.batch,
-                        DuplicatePush::Discard,
                         &TicketTraceCtx {
                             sink,
                             worker: w as i64,
@@ -620,7 +628,7 @@ pub fn run_training_cluster_traced(
                     // lint:allow(wall-clock): decode timing for ExecutorHostStats.decode_us, a stats field only
                     let t_decode = Instant::now();
                     let decoded = taken.map_err(|e| format!("take: {e}")).and_then(|blob| {
-                        decode_for_execution(cluster.codec, blob)
+                        decode_for_execution(cluster.codec, blob, it)
                             .map_err(|e| format!("decode: {e}"))
                     });
                     let decode_us = t_decode.elapsed().as_secs_f64() * 1e6;
@@ -635,8 +643,8 @@ pub fn run_training_cluster_traced(
                             ..Span::default()
                         });
                     }
-                    let (iteration, outcome) = match decoded {
-                        Ok(s) => s,
+                    let outcome = match decoded {
+                        Ok(o) => o,
                         Err(e) => {
                             let _ = tx.send(Prefetched::Lost(format!(
                                 "instruction store lost iteration {it}: {e}"
@@ -644,7 +652,6 @@ pub fn run_training_cluster_traced(
                             return;
                         }
                     };
-                    debug_assert_eq!(iteration, it, "blob is self-describing");
                     let claimed = ClaimedCluster {
                         meta,
                         outcome,
@@ -663,6 +670,10 @@ pub fn run_training_cluster_traced(
 
         // The executor: strictly in order on the caller thread, folding
         // the per-host timelines as it goes.
+        let teardown = Teardown {
+            queue: &queue,
+            membership: &membership,
+        };
         let mut vclock = 0.0f64;
         // Sim-domain clock: the ideal back-to-back timeline the executed
         // iterations would occupy with every plan instantly available.
@@ -672,16 +683,12 @@ pub fn run_training_cluster_traced(
         for it in 0..cap {
             let claimed = match rx.recv() {
                 Ok(Prefetched::EndOfEpoch) => break,
-                Ok(Prefetched::Lost(e)) => {
-                    queue.cancel();
-                    panic!("{e}");
-                }
-                Err(_) => {
-                    // Prefetcher died without a message: a planner worker
-                    // panicked under it; unblock the pool and re-raise.
-                    queue.cancel();
-                    panic!("a planner worker panicked while planning ahead");
-                }
+                // Re-raising unwinds through `teardown`, which unblocks
+                // the pool before the scope joins it.
+                Ok(Prefetched::Lost(e)) => panic!("{e}"),
+                // Prefetcher died without a message: a planner worker
+                // panicked under it.
+                Err(_) => panic!("a planner worker panicked while planning ahead"),
                 Ok(Prefetched::Iteration(c)) => c,
             };
             let ClaimedCluster {
@@ -926,12 +933,7 @@ pub fn run_training_cluster_traced(
             led.blobs_refetched = refetched_blobs;
             led.refetch_bytes = refetched_bytes;
         }
-        // Teardown: stop workers waiting on the window or about to claim
-        // past a failure, wake a prefetcher stuck on a plan that will
-        // never come, and release the workers of scripted-join hosts
-        // whose event never fired.
-        queue.cancel();
-        membership.shutdown();
+        drop(teardown);
         drop(rx);
     });
 

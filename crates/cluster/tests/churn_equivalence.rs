@@ -96,6 +96,10 @@ fn assert_churn_equivalent(
         clean_stats.churn.events_applied, 0,
         "{label}: undisturbed run must apply no churn"
     );
+    assert_eq!(
+        clean_stats.churn.duplicate_blobs_discarded, 0,
+        "{label}: undisturbed run pushed a duplicate blob"
+    );
     let mut clean_trace = clean_sink.finish();
     clean_trace.meta = clean_stats.trace_meta(&format!("{label}/undisturbed"));
     clean_trace

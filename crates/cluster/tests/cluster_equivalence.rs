@@ -8,25 +8,28 @@
 //! multi-executor), wire codec (JSON / binary / flat), store placement
 //! (single vs sharded), fabric (free, uniform, slow, rack-structured),
 //! jitter, dp>1, baselines, and a failure-mid-epoch run whose
-//! speculative blobs must be swept. It also pins the **wire-byte
-//! rule** (see `report.rs`): local copies appear in no wire counter, so
-//! on the flat codec `flat_wire_bytes` must reconcile exactly with
-//! `Σ bytes_fetched`.
+//! speculative blobs must be swept. Every cell's Sim-domain timeline is
+//! pinned bit-for-bit to the in-process plan-ahead runtime's. It also
+//! pins the **wire-byte rule** (see `report.rs`): local copies appear
+//! in no wire counter, so on the flat codec `flat_wire_bytes` must
+//! reconcile exactly with `Σ bytes_fetched`.
 
 use dynapipe_cluster::{
-    run_training_cluster, run_training_cluster_traced, ClusterConfig, ClusterReport,
+    run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig, ClusterReport,
     StorePlacement,
 };
 use dynapipe_core::{
-    run_training, BaselineKind, BaselinePlanner, DynaPipePlanner, IterationPlanner, PlanCodec,
-    PlannerConfig, RunConfig, RunReport,
+    run_training, run_training_pipelined_traced, BaselineKind, BaselinePlanner, DynaPipePlanner,
+    IterationPlan, IterationPlanner, PlanCodec, PlanError, PlannerConfig, RunConfig, RunReport,
+    RuntimeConfig,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, GlobalBatchConfig, Sample};
+use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use dynapipe_sim::{Fabric, JitterConfig, LinkModel};
 use dynapipe_trace::{sim_eq, Trace, TraceSink};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Large enough that no matrix cell ever drops a span — a dropped span
 /// would (correctly) fail `reconcile`, but the failure should then mean
@@ -58,8 +61,8 @@ fn topologies() -> Vec<ClusterConfig> {
     .expect("slow link model is valid");
     let mut out = Vec::new();
     for codec in PlanCodec::ALL {
-        // Degenerate single host, free links: must match the plain
-        // store-backed runtime's behavior exactly.
+        // Degenerate single host, free links: the plain store-backed
+        // pipeline, one planner worker pushing to one executor.
         out.push(ClusterConfig {
             planner_hosts: 1,
             workers_per_host: 1,
@@ -118,9 +121,10 @@ fn assert_cluster_matrix(
     let mut reports = Vec::new();
     // The Sim-domain span timeline is derived purely from the
     // behavior-pinned execution results, so it must be bit-identical
-    // across every topology × codec × placement cell: pin every cell's
-    // trace against the first.
-    let mut pinned: Option<Trace> = None;
+    // across every topology × codec × placement cell and to the
+    // in-process plan-ahead runtime, whose plans never cross the store:
+    // pin every cell's trace against the in-process run's.
+    let pinned = in_process_trace(planner, dataset, gbs, run, serial);
     for cluster in topologies() {
         let label = format!(
             "{}/{}/{}",
@@ -143,20 +147,38 @@ fn assert_cluster_matrix(
         trace
             .reconcile()
             .unwrap_or_else(|e| panic!("{label}: trace reconciliation: {e}"));
-        match &pinned {
-            Some(first) => sim_eq(first, &trace)
-                .unwrap_or_else(|e| panic!("{label}: Sim timeline diverged from first cell: {e}")),
-            None => pinned = Some(trace),
-        }
+        sim_eq(&pinned, &trace)
+            .unwrap_or_else(|e| panic!("{label}: Sim timeline diverged from in-process: {e}"));
         // Store hygiene in every topology: no orphaned blobs, occupancy
-        // bounded by the window.
+        // bounded by the window, and the byte high-water mark saw the
+        // pushed blobs.
         assert_eq!(stats.store.occupancy, 0, "{label}: orphaned blobs");
         assert_eq!(stats.store.bytes, 0, "{label}: leaked bytes");
+        assert!(
+            stats.store.per_shard.iter().all(|s| s.occupancy == 0 && s.bytes == 0),
+            "{label}: per-shard counters must reconcile to zero"
+        );
         assert!(
             stats.store.peak_occupancy <= plan_ahead.max(1),
             "{label}: store peak {} exceeded window",
             stats.store.peak_occupancy
         );
+        assert!(stats.store.peak_bytes > 0, "{label}: peak_bytes never recorded a push");
+        assert!(
+            stats.store.peak_bytes >= stats.store.bytes,
+            "{label}: peak_bytes {} below final bytes {}",
+            stats.store.peak_bytes,
+            stats.store.bytes
+        );
+        // Without churn no ticket is re-issued, so no iteration is ever
+        // pushed twice.
+        assert_eq!(
+            stats.churn.duplicate_blobs_discarded, 0,
+            "{label}: an undisturbed run pushed a duplicate blob"
+        );
+        // The wire hop is real work, accounted on both sides.
+        assert!(stats.serialize_us > 0.0, "{label}: encode + push never timed");
+        assert!(stats.decode_us > 0.0, "{label}: decode never timed");
         // The wire-byte rule reconciles across counters (the regression
         // this matrix pins: flat_wire_bytes used to count the store
         // host's local copy while bytes_fetched excluded it). Zero-copy
@@ -197,6 +219,53 @@ fn assert_cluster_matrix(
         reports.push(stats);
     }
     reports
+}
+
+/// The in-process plan-ahead runtime at the first cell's window and
+/// worker count: `behavior_eq` to serial, its trace validated and
+/// reconciled, returned as the Sim timeline every cell must carry.
+fn in_process_trace(
+    planner: &dyn IterationPlanner,
+    dataset: &Dataset,
+    gbs: GlobalBatchConfig,
+    run: RunConfig,
+    serial: &RunReport,
+) -> Trace {
+    let sink = TraceSink::bounded(TRACE_CAP);
+    let (report, stats) = run_training_pipelined_traced(
+        planner,
+        dataset,
+        gbs,
+        run,
+        RuntimeConfig {
+            plan_ahead: 2,
+            workers: 1,
+        },
+        &sink,
+    );
+    serial
+        .behavior_eq(&report)
+        .unwrap_or_else(|e| panic!("in-process diverged from serial: {e}"));
+    let mut trace = sink.finish();
+    trace.meta = stats.trace_meta("in-process");
+    trace
+        .validate()
+        .unwrap_or_else(|e| panic!("in-process trace validation: {e}"));
+    trace
+        .reconcile()
+        .unwrap_or_else(|e| panic!("in-process trace reconciliation: {e}"));
+    trace
+}
+
+/// The cluster run with tracing off.
+fn run_cluster(
+    planner: &dyn IterationPlanner,
+    dataset: &Dataset,
+    gbs: GlobalBatchConfig,
+    run: RunConfig,
+    cluster: ClusterConfig,
+) -> (RunReport, ClusterReport) {
+    run_training_cluster_traced(planner, dataset, gbs, run, cluster, &TraceSink::disabled())
 }
 
 #[test]
@@ -287,8 +356,8 @@ fn slow_links_expose_wire_time_without_changing_behavior() {
         ..Default::default()
     };
     let (fast_report, fast) =
-        run_training_cluster(&planner, &dataset, gbs(16384), run, base.clone());
-    let (slow_report, slow) = run_training_cluster(
+        run_cluster(&planner, &dataset, gbs(16384), run, base.clone());
+    let (slow_report, slow) = run_cluster(
         &planner,
         &dataset,
         gbs(16384),
@@ -419,7 +488,7 @@ fn zero_iteration_cap_produces_empty_report() {
     };
     let serial = run_training(&planner, &dataset, gbs(16384), run);
     let (report, stats) =
-        run_training_cluster(&planner, &dataset, gbs(16384), run, ClusterConfig::default());
+        run_cluster(&planner, &dataset, gbs(16384), run, ClusterConfig::default());
     serial.behavior_eq(&report).unwrap();
     assert!(report.records.is_empty());
     assert_eq!(stats.iterations, 0);
@@ -445,8 +514,8 @@ fn binary_codec_shrinks_the_wire_on_identical_behavior() {
         codec: PlanCodec::Json,
         ..Default::default()
     };
-    let (ra, json) = run_training_cluster(&planner, &dataset, gbs(16384), run, base.clone());
-    let (rb, binary) = run_training_cluster(
+    let (ra, json) = run_cluster(&planner, &dataset, gbs(16384), run, base.clone());
+    let (rb, binary) = run_cluster(
         &planner,
         &dataset,
         gbs(16384),
@@ -464,4 +533,187 @@ fn binary_codec_shrinks_the_wire_on_identical_behavior() {
         binary.mean_blob_bytes,
         json.mean_blob_bytes
     );
+}
+
+#[test]
+fn planner_worker_panic_poisons_the_store_and_propagates() {
+    // A panicking worker leaves its claimed ticket unfulfilled; its
+    // unwind guard must poison the queue and the store, so the
+    // prefetcher and the executor re-raise instead of waiting forever.
+    struct PanickingPlanner(Arc<CostModel>);
+    impl IterationPlanner for PanickingPlanner {
+        fn plan(&self, _: &[Sample]) -> Result<IterationPlan, PlanError> {
+            panic!("injected planner panic");
+        }
+        fn cost_model(&self) -> &CostModel {
+            &self.0
+        }
+        fn label(&self) -> String {
+            "panicking".to_string()
+        }
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let planner = PanickingPlanner(cost_model(2, 1));
+        let dataset = Dataset::flanv2(37, 200);
+        let run = RunConfig {
+            max_iterations: Some(3),
+            ..Default::default()
+        };
+        let cluster = ClusterConfig {
+            planner_hosts: 1,
+            workers_per_host: 1,
+            executor_hosts: 1,
+            fabric: Fabric::free(),
+            // A scripted join the run never reaches: its pre-spawned
+            // worker stays parked, and teardown must release it.
+            churn: ChurnScript::new().at(2, ChurnEvent::PlannerJoin { workers: 1 }),
+            ..Default::default()
+        };
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cluster(&planner, &dataset, gbs(16384), run, cluster)
+        }))
+        .is_err();
+        let _ = tx.send(panicked);
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("cluster run must terminate, not deadlock");
+    assert!(panicked, "worker panic must propagate to the caller");
+}
+
+/// Delegates to a planner, but plans the mini-batch holding sample
+/// `failing` only once the mini-batch starting with sample `next` has
+/// been planned as often as the failing one has been requested. Tickets
+/// are claimed in order and a claimed plan is always pushed, so with two
+/// workers and a window > 1 the iteration after the failure is planned
+/// and pushed before the failure reaches the executor.
+struct FailAfterLookahead<'a> {
+    inner: &'a DynaPipePlanner,
+    failing: u64,
+    next: u64,
+    /// (failing plans requested, `next` plans finished)
+    counts: Mutex<(usize, usize)>,
+    planned_next: Condvar,
+}
+
+impl<'a> FailAfterLookahead<'a> {
+    fn new(inner: &'a DynaPipePlanner, failing: u64, next: u64) -> Self {
+        FailAfterLookahead {
+            inner,
+            failing,
+            next,
+            counts: Mutex::new((0, 0)),
+            planned_next: Condvar::new(),
+        }
+    }
+}
+
+impl IterationPlanner for FailAfterLookahead<'_> {
+    fn plan(&self, minibatch: &[Sample]) -> Result<IterationPlan, PlanError> {
+        if minibatch.iter().any(|s| s.id == self.failing) {
+            let mut counts = self.counts.lock().unwrap();
+            counts.0 += 1;
+            let want = counts.0;
+            let (_counts, wait) = self
+                .planned_next
+                .wait_timeout_while(counts, Duration::from_secs(60), |c| c.1 < want)
+                .unwrap();
+            assert!(
+                !wait.timed_out(),
+                "the iteration after the failure was never planned"
+            );
+            return self.inner.plan(minibatch);
+        }
+        let out = self.inner.plan(minibatch);
+        if minibatch.first().map(|s| s.id) == Some(self.next) {
+            self.counts.lock().unwrap().1 += 1;
+            self.planned_next.notify_all();
+        }
+        out
+    }
+
+    fn cost_model(&self) -> &CostModel {
+        IterationPlanner::cost_model(self.inner)
+    }
+
+    fn label(&self) -> String {
+        IterationPlanner::label(self.inner)
+    }
+}
+
+#[test]
+fn failure_behind_a_wide_window_discards_the_speculative_blobs() {
+    // The monster-sample fixture, planned through `FailAfterLookahead`:
+    // the failing plan is held back until the next iteration has been
+    // planned and pushed, so a speculative blob past the failure exists
+    // on every run. Both the in-process runtime and the store-backed
+    // `1p×2w→1e` pipeline must stop at the serial failure; the store
+    // must discard that blob at teardown, never leak it.
+    let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
+    let mut dataset = Dataset::flanv2(109, 400);
+    dataset.samples[130] = Sample {
+        id: 130,
+        task: 0,
+        input_len: 2_000_000,
+        target_len: 512,
+    };
+    let gbs = GlobalBatchConfig {
+        tokens_per_batch: 16384,
+        max_seq_len: 4_000_000,
+    };
+    let run = RunConfig {
+        max_iterations: Some(20),
+        ..Default::default()
+    };
+    let serial = run_training(&planner, &dataset, gbs, run);
+    assert!(serial.failure.is_some(), "fixture must fail mid-epoch");
+    let failed_at = serial.records.len();
+    assert!(failed_at > 0, "failure must happen mid-epoch, not at iteration 0");
+    let batches: Vec<Vec<Sample>> = GlobalBatchIter::new(&dataset, gbs).collect();
+    let lookahead = FailAfterLookahead::new(&planner, 130, batches[failed_at + 1][0].id);
+
+    let (in_process, stats) = run_training_pipelined_traced(
+        &lookahead,
+        &dataset,
+        gbs,
+        run,
+        RuntimeConfig {
+            plan_ahead: 4,
+            workers: 2,
+        },
+        &TraceSink::disabled(),
+    );
+    serial.behavior_eq(&in_process).expect("in-process vs serial");
+    // Speculative plans beyond the failure never become records.
+    assert_eq!(stats.planning_us.len(), failed_at);
+
+    for codec in PlanCodec::ALL {
+        let label = codec.label();
+        let cluster = ClusterConfig {
+            planner_hosts: 1,
+            workers_per_host: 2,
+            executor_hosts: 1,
+            plan_ahead: 4,
+            codec,
+            fabric: Fabric::free(),
+            ..Default::default()
+        };
+        let (report, stats) = run_cluster(&lookahead, &dataset, gbs, run, cluster);
+        serial
+            .behavior_eq(&report)
+            .unwrap_or_else(|e| panic!("{label}: diverged from serial: {e}"));
+        assert_eq!(stats.iterations, failed_at, "{label}");
+        assert_eq!(stats.store.occupancy, 0, "{label}: orphaned blobs");
+        assert_eq!(
+            stats.store.pushes,
+            stats.store.takes + stats.store.discarded,
+            "{label}: pushed blobs must all be taken or discarded: {:?}",
+            stats.store
+        );
+        assert!(
+            stats.store.discarded > 0,
+            "{label}: a wide window must have parked speculative blobs to discard"
+        );
+    }
 }

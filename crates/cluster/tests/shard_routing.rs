@@ -12,13 +12,12 @@
 //!   surviving assignments are bit-stable, which is what bounds churn
 //!   recovery to the dead host's share of the store.
 
-use dynapipe_cluster::{
-    run_training_cluster, ClusterConfig, ShardMap, StorePlacement,
-};
+use dynapipe_cluster::{run_training_cluster_traced, ClusterConfig, ShardMap, StorePlacement};
 use dynapipe_core::{run_training, DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+use dynapipe_trace::TraceSink;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -138,7 +137,14 @@ fn runtime_shard_counters_follow_the_routing_arithmetic() {
                 ..Default::default()
             };
             let label = format!("{}/{}", placement.label(), codec.label());
-            let (report, stats) = run_training_cluster(&planner, &dataset, gbs, run, cfg);
+            let (report, stats) = run_training_cluster_traced(
+                &planner,
+                &dataset,
+                gbs,
+                run,
+                cfg,
+                &TraceSink::disabled(),
+            );
             serial
                 .behavior_eq(&report)
                 .unwrap_or_else(|e| panic!("{label}: diverged: {e}"));

@@ -7,7 +7,7 @@
 //! analytic hardware model — so the simulator executes what a real executor
 //! would, while the planner only ever saw interpolated estimates.
 //!
-//! Lowered programs are serializable: in the store-backed runtime they
+//! Lowered programs are serializable: in the cluster runtime they
 //! cross the instruction store as part of the [`crate::store::StoredPlan`]
 //! wire format, so compilation output must survive encode/decode bitwise
 //! (durations and byte counts are the simulation — a flipped float bit is
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn compiled_programs_survive_the_wire_bitwise() {
-        // The store-backed runtime ships these over the instruction
+        // The cluster runtime ships these over the instruction
         // store: value equality plus re-encode identity (deterministic
         // shortest-roundtrip floats) pins the wire bit for bit.
         let cm = cm();

@@ -77,7 +77,7 @@ impl Default for PlannerConfig {
 ///
 /// Serializable: a planning failure travels through the
 /// [`crate::store::InstructionStore`] like any other outcome, so a
-/// store-backed executor reports it at exactly the iteration the serial
+/// cluster executor reports it at exactly the iteration the serial
 /// driver would, with an identical message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanError {
@@ -114,7 +114,7 @@ pub struct ReplicaPlan {
 /// A complete iteration plan across replicas.
 ///
 /// Serializable (float-exact): iteration plans cross the instruction
-/// store's process boundary in the store-backed runtime.
+/// store's process boundary in the cluster runtime.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IterationPlan {
     /// One plan per data-parallel replica.

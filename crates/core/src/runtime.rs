@@ -16,10 +16,8 @@
 //! * the **planner pool** pulls mini-batches from a streaming
 //!   [`BatchStream`] (the epoch is never materialized) and plans
 //!   iterations up to [`RuntimeConfig::plan_ahead`] ahead of the one being
-//!   executed, on the same bounded worker-pool mechanism as
-//!   [`crate::parallel::generate_plans_parallel`] (each worker caps its
-//!   nested rayon parallelism to its pool share; the planner's shared
-//!   [`crate::planner::PlanContext`] passes are reused per plan as usual);
+//!   executed; workers and the planner's own nested parallel passes share
+//!   the one rayon thread budget;
 //! * the **lowering stage** sits between planner and engine: each
 //!   replica's [`dynapipe_comm::ExecutionPlan`] is compiled to shared
 //!   [`DeviceProgram`]s on the worker, so the executor never rebuilds
@@ -28,36 +26,14 @@
 //!   bounded queue and runs each iteration's independent replica engines
 //!   in parallel.
 //!
-//! # Plan distribution
-//!
-//! [`RuntimeConfig::distribution`] selects how lowered plans travel from
-//! the planner pool to the executor:
-//!
-//! * [`PlanDistribution::InProcess`] — shared `Arc`s through the
-//!   plan-ahead queue (single-host fast path, and the golden reference
-//!   for the store-backed mode);
-//! * [`PlanDistribution::StoreBacked`] — the paper's Fig. 9 architecture:
-//!   each worker **serializes** the lowered iteration into a
-//!   [`crate::store::StoredPlan`] wire blob and pushes it into an
-//!   [`InstructionStore`] keyed by iteration; an executor-side
-//!   **prefetcher** takes each blob in order (bounded wait), decodes it
-//!   ahead of execution, and hands the executor engines over the owned
-//!   programs — Fig. 9's push / prefetch / delete-on-consumption cycle.
-//!   This models the process boundary of a multi-host planner pool:
-//!   nothing survives the hop except what the wire format carries.
-//!   The bounded window's slots count store occupancy — a worker holds
-//!   its claimed ticket from push until the executor's take — so live
-//!   blobs never exceed `plan_ahead` and the queue's backpressure
-//!   carries over to the store (whose capacity is set to the window as a
-//!   belt-and-braces bound). On failure teardown the store is cleared:
-//!   speculative blobs are discarded, never orphaned. A worker panic
-//!   poisons queue *and* store, so a dead planner fails the executor
-//!   instead of deadlocking it.
-//!
-//! Both modes must produce bit-identical [`RunReport`]s (the
-//! serialization roundtrip is float-exact); the differential harness in
-//! `crates/core/tests/runtime_equivalence.rs` pins every scenario across
-//! serial driver × in-process × store-backed.
+//! Plans travel from worker to executor as shared `Arc`s. The paper's
+//! Fig. 9 deployment, where workers serialize each lowered plan into an
+//! [`InstructionStore`] and executors prefetch and decode it, is the
+//! cluster runtime (`dynapipe_cluster::run_training_cluster_traced`).
+//! It is built from the primitives this module shares:
+//! [`PlanAheadQueue`], [`TicketGuard`], [`plan_lower_push_traced`],
+//! [`decode_for_execution`], [`execute_lowered`] and
+//! [`record_sim_iteration`].
 //!
 //! # Determinism
 //!
@@ -94,7 +70,7 @@
 //! distinct failure classes:
 //!
 //! * **poison (fail-stop)** — a planner worker *panics*: its unwind path
-//!   ([`TicketGuard`]) poisons the queue (and store, when store-backed),
+//!   ([`TicketGuard`]) poisons the queue (and the store, if it is given one),
 //!   every blocked party re-raises, and the run dies at exactly the
 //!   iteration the serial driver would have died at. A panic means the
 //!   planning computation itself is broken; retrying it elsewhere would
@@ -117,7 +93,7 @@
 use crate::codec::{FlatPlanRef, FlatReplicaRef, PlanCodec};
 use crate::driver::{record_iteration, IterationPlanner, RunConfig, RunReport};
 use crate::planner::{IterationPlan, PlanError};
-use crate::store::{InstructionStore, StoreStats, StoredLowered, StoredOutcome, StoredPlan};
+use crate::store::{InstructionStore, StoredLowered, StoredOutcome, StoredPlan};
 use dynapipe_batcher::PaddingStats;
 use dynapipe_cost::CostModel;
 use dynapipe_data::{BatchStream, Dataset, GlobalBatchConfig, Sample};
@@ -129,42 +105,21 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How long the executor waits for a blob the queue says was pushed, and
-/// a pushing worker waits for a capacity slot the window accounting says
-/// is free. Reaching either is a crashed-counterpart signal, not normal
-/// backpressure — both paths fail loudly instead of deadlocking.
+/// How long a pushing worker waits for a capacity slot the window
+/// accounting says is free. Reaching it is a crashed-counterpart signal,
+/// not normal backpressure — the push fails loudly instead of
+/// deadlocking.
 const STORE_WAIT: Duration = Duration::from_secs(60);
-
-/// How lowered plans travel from the planner pool to the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanDistribution {
-    /// Shared `Arc`s through the in-process plan-ahead queue (the golden
-    /// reference for the store-backed path).
-    #[default]
-    InProcess,
-    /// Serialized [`StoredPlan`] blobs through the [`InstructionStore`]
-    /// — the paper's Fig. 9 planner/executor decoupling, modeling a real
-    /// process boundary.
-    StoreBacked,
-}
 
 /// Configuration of the pipelined runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Bounded plan-ahead window: the planner pool may run at most this
     /// many iterations ahead of the executor (≥ 1). Bounds both
-    /// speculation depth and resident compiled plans (and, store-backed,
-    /// live blobs in the store).
+    /// speculation depth and resident compiled plans.
     pub plan_ahead: usize,
     /// Planner worker threads (≥ 1).
     pub workers: usize,
-    /// Plan-distribution layer between the pool and the executor.
-    pub distribution: PlanDistribution,
-    /// Wire codec for [`PlanDistribution::StoreBacked`] blobs (ignored
-    /// in-process). All codecs are bit-exact; they differ in bytes and
-    /// decode time (see [`crate::codec`]) — [`PlanCodec::Flat`] blobs are
-    /// executed zero-copy, straight over the wire bytes.
-    pub codec: PlanCodec,
 }
 
 impl Default for RuntimeConfig {
@@ -172,8 +127,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             plan_ahead: 4,
             workers: rayon::current_num_threads().saturating_sub(1).max(1),
-            distribution: PlanDistribution::InProcess,
-            codec: PlanCodec::default(),
         }
     }
 }
@@ -184,8 +137,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             plan_ahead: self.plan_ahead.max(1),
             workers: self.workers.max(1),
-            distribution: self.distribution,
-            codec: self.codec,
         }
     }
 }
@@ -248,7 +199,7 @@ pub fn lower_iteration(cm: &CostModel, plan: IterationPlan) -> CompiledIteration
     CompiledIteration { plan, programs }
 }
 
-/// Distribution accounting of one [`plan_lower_push`] call.
+/// Distribution accounting of one [`plan_lower_push_traced`] call.
 pub struct StorePush {
     /// Worker wall-clock spent planning (µs).
     pub plan_us: f64,
@@ -258,61 +209,13 @@ pub struct StorePush {
     pub serialize_us: f64,
     /// Size of the pushed wire blob.
     pub blob_bytes: usize,
-    /// Whether the push was discarded as a re-issue duplicate (only
-    /// under [`DuplicatePush::Discard`]; always `false` otherwise).
+    /// Whether the push was discarded at the store door because a
+    /// re-issued attempt of the same iteration landed first.
     pub discarded: bool,
 }
 
-/// How [`plan_lower_push`] treats a push that collides with an existing
-/// blob or tombstone for the same iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DuplicatePush {
-    /// Panic — the single-attempt runtime never legitimately pushes an
-    /// iteration twice, so a collision is a bug.
-    Fail,
-    /// Count and discard — the elastic runtime re-issues tickets, so a
-    /// straggling original and its re-issue may race byte-identical
-    /// blobs to the store; whichever lands second is dropped at the
-    /// door ([`InstructionStore::push_discarding`]).
-    Discard,
-}
-
-/// The store-backed planner-worker body, shared by the plan-ahead
-/// runtime and the cluster layer: plan the mini-batch, lower to *owned*
-/// programs (one ground-truth memo across replicas — the plans are
-/// about to cross the wire, so sharing `Arc`s buys nothing), encode with
-/// `codec` and push the blob keyed by `index` with put-side
-/// backpressure. Planning failures are pushed too ([`StoredOutcome::Failed`])
-/// so the executor reports them at exactly the serial iteration.
-///
-/// # Panics
-///
-/// If the push fails — window accounting means a healthy run never
-/// blocks long enough to time out, so failure is a crashed-counterpart
-/// signal. Callers hold a [`TicketGuard`], whose unwind poisons the
-/// queue and store instead of deadlocking the executor.
-pub fn plan_lower_push(
-    planner: &dyn IterationPlanner,
-    store: &InstructionStore,
-    codec: PlanCodec,
-    index: usize,
-    batch: &[Sample],
-    on_duplicate: DuplicatePush,
-) -> StorePush {
-    plan_lower_push_traced(
-        planner,
-        store,
-        codec,
-        index,
-        batch,
-        on_duplicate,
-        &TicketTraceCtx::untraced(),
-    )
-}
-
 /// Trace attribution for one planner-worker ticket: where
-/// [`plan_lower_push_traced`] records its phase spans. The untraced
-/// callers go through [`plan_lower_push`], which passes a disabled sink.
+/// [`plan_lower_push_traced`] records its phase spans.
 pub struct TicketTraceCtx<'a> {
     /// Recorder (may be disabled).
     pub sink: &'a TraceSink,
@@ -326,34 +229,36 @@ pub struct TicketTraceCtx<'a> {
     pub generation: u64,
 }
 
-/// The shared disabled sink behind [`TicketTraceCtx::untraced`] — a
-/// `TraceSink` is only `Default`-cheap, not `const`, so keep one.
-static UNTRACED: std::sync::OnceLock<TraceSink> = std::sync::OnceLock::new();
-
-impl TicketTraceCtx<'_> {
-    /// A context that records nothing.
-    pub fn untraced() -> TicketTraceCtx<'static> {
-        TicketTraceCtx {
-            sink: UNTRACED.get_or_init(TraceSink::disabled),
-            worker: -1,
-            host: -1,
-            shard: -1,
-            generation: 0,
-        }
-    }
-}
-
-/// [`plan_lower_push`] with span recording: one `Host`-domain span per
-/// phase (plan / lower / encode+push), a `StorePush` marker, and a
-/// `StoreDiscard` marker when the push was dropped at the door as a
-/// re-issue duplicate.
+/// The store-backed planner-worker body: plan the mini-batch, lower to
+/// *owned* programs (one ground-truth memo across replicas — the plans
+/// are about to cross the wire, so sharing `Arc`s buys nothing), encode
+/// with `codec` and push the blob keyed by `index` with put-side
+/// backpressure. Planning failures are pushed too
+/// ([`StoredOutcome::Failed`]) so the executor reports them at exactly
+/// the serial iteration.
+///
+/// Under churn recovery an iteration may be planned twice (a straggling
+/// original and its re-issue race byte-identical blobs to the store), so
+/// the push goes through [`InstructionStore::push_discarding`]: whichever
+/// lands second is counted and dropped at the door. A run without churn
+/// never discards one.
+///
+/// Records one `Host`-domain span per phase (plan / lower / encode+push),
+/// a `StorePush` marker, and a `StoreDiscard` marker when the push was
+/// dropped at the door.
+///
+/// # Panics
+///
+/// If the push fails — window accounting means a healthy run never
+/// blocks long enough to time out, so failure is a crashed-counterpart
+/// signal. Callers hold a [`TicketGuard`], whose unwind poisons the
+/// queue and store instead of deadlocking the executor.
 pub fn plan_lower_push_traced(
     planner: &dyn IterationPlanner,
     store: &InstructionStore,
     codec: PlanCodec,
     index: usize,
     batch: &[Sample],
-    on_duplicate: DuplicatePush,
     ctx: &TicketTraceCtx<'_>,
 ) -> StorePush {
     let cm = planner.cost_model();
@@ -402,20 +307,10 @@ pub fn plan_lower_push_traced(
     }
     .encode(codec);
     let blob_bytes = blob.len();
-    let discarded = match on_duplicate {
-        DuplicatePush::Fail => {
-            store
-                .push_blocking(index, blob, STORE_WAIT)
-                .unwrap_or_else(|e| panic!("instruction store push failed: {e}"));
-            false
-        }
-        DuplicatePush::Discard => {
-            let outcome = store
-                .push_discarding(index, blob, STORE_WAIT)
-                .unwrap_or_else(|e| panic!("instruction store push failed: {e}"));
-            outcome == crate::store::PushOutcome::DiscardedDuplicate
-        }
-    };
+    let discarded = store
+        .push_discarding(index, blob, STORE_WAIT)
+        .unwrap_or_else(|e| panic!("instruction store push failed: {e}"))
+        == crate::store::PushOutcome::DiscardedDuplicate;
     let e_ser = ctx.sink.now_us();
     ctx.sink
         .record(ticket_span(SpanKind::TicketEncode, s_ser, e_ser, blob_bytes as u64));
@@ -506,6 +401,10 @@ pub struct IterationExecution {
 /// Execute one lowered iteration's replicas and fold the results exactly
 /// as the serial driver does: worst makespan, per-stage max peaks, summed
 /// stalls, first failure in replica order.
+///
+/// Returns `Err` when `programs` does not carry exactly one entry per
+/// replica of `plan`: running the replicas that happen to be present
+/// would fold a partial iteration into a valid-looking result.
 pub fn execute_lowered(
     cm: &CostModel,
     plan: &IterationPlan,
@@ -514,7 +413,13 @@ pub fn execute_lowered(
     iteration_index: usize,
     mode: ReplicaParallelism,
 ) -> Result<IterationExecution, String> {
-    debug_assert_eq!(plan.replicas.len(), programs.len());
+    if plan.replicas.len() != programs.len() {
+        return Err(format!(
+            "plan has {} replicas but {} replica programs were supplied",
+            plan.replicas.len(),
+            programs.len()
+        ));
+    }
     let c = cm.num_stages();
     let run_replica = |ri: usize| -> Result<SimResult, String> {
         let config = replica_engine_config(cm, run, iteration_index, ri);
@@ -572,72 +477,73 @@ pub fn execute_lowered(
     Ok(exec)
 }
 
-/// Decode a fetched wire blob into its executable form: the iteration
-/// index it carries, plus either the plan with per-replica programs or
-/// the planner failure stored in its place.
+/// Decode the wire blob fetched for iteration `expected` into its
+/// executable form: either the plan with per-replica programs or the
+/// planner failure stored in its place.
 ///
 /// Tree codecs ([`PlanCodec::Json`], [`PlanCodec::Binary`]) materialize
 /// owned programs. [`PlanCodec::Flat`] validates the arena once and
 /// hands back [`ReplicaPrograms::Flat`] views over the very same bytes —
 /// the engines execute straight over the wire blob; only the small
-/// plan-metadata section is materialized. Both prefetchers (single-host
-/// and cluster) share this so the fetched-blob-to-engine boundary is
-/// identical by construction.
+/// plan-metadata section is materialized.
+///
+/// A blob that decodes but does not fit the fetch is an `Err`, never a
+/// smaller iteration: the blob must name iteration `expected`, and a plan
+/// must carry exactly one program set per replica.
 #[allow(clippy::type_complexity)]
 pub fn decode_for_execution(
     codec: PlanCodec,
     blob: Arc<[u8]>,
-) -> Result<(usize, Result<(IterationPlan, Vec<ReplicaPrograms>), PlanError>), String> {
-    if codec == PlanCodec::Flat {
+    expected: usize,
+) -> Result<Result<(IterationPlan, Vec<ReplicaPrograms>), PlanError>, String> {
+    let (iteration, outcome) = if codec == PlanCodec::Flat {
         let flat = FlatPlanRef::new(blob).map_err(|e| e.to_string())?;
-        let it = flat.iteration();
-        if flat.is_failed() {
-            return Ok((it, Err(flat.failure().map_err(|e| e.to_string())?)));
-        }
-        let plan = flat.plan().map_err(|e| e.to_string())?;
-        let programs = flat
-            .replicas()
-            .into_iter()
-            .map(ReplicaPrograms::Flat)
-            .collect();
-        return Ok((it, Ok((plan, programs))));
-    }
-    let stored = StoredPlan::decode(codec, &blob).map_err(|e| e.to_string())?;
-    let outcome = match stored.outcome {
-        StoredOutcome::Plan(StoredLowered { plan, programs }) => {
+        let outcome = if flat.is_failed() {
+            Err(flat.failure().map_err(|e| e.to_string())?)
+        } else {
+            let plan = flat.plan().map_err(|e| e.to_string())?;
+            let programs: Vec<ReplicaPrograms> =
+                flat.replicas().into_iter().map(ReplicaPrograms::Flat).collect();
+            Ok((plan, programs))
+        };
+        (flat.iteration(), outcome)
+    } else {
+        let stored = StoredPlan::decode(codec, &blob).map_err(|e| e.to_string())?;
+        let outcome = match stored.outcome {
             // Engines will run over the owned, deserialized programs —
             // nothing from the planner side of the boundary is referenced.
-            let programs = programs
-                .into_iter()
-                .map(|p| ReplicaPrograms::Owned(Arc::new(p)))
-                .collect();
-            Ok((plan, programs))
-        }
-        StoredOutcome::Failed(e) => Err(e),
+            StoredOutcome::Plan(StoredLowered { plan, programs }) => Ok((
+                plan,
+                programs
+                    .into_iter()
+                    .map(|p| ReplicaPrograms::Owned(Arc::new(p)))
+                    .collect(),
+            )),
+            StoredOutcome::Failed(e) => Err(e),
+        };
+        (stored.iteration, outcome)
     };
-    Ok((stored.iteration, outcome))
-}
-
-/// What a worker hands the executor for one iteration: the payload
-/// itself (in-process) or a receipt for a blob parked in the store.
-enum PlannedPayload {
-    /// The lowered iteration, shared in-process.
-    InProcess(Box<Result<CompiledIteration, PlanError>>),
-    /// The outcome was serialized and pushed into the [`InstructionStore`]
-    /// keyed by this iteration; only the serialization accounting rides
-    /// the queue.
-    Stored {
-        /// Worker wall-clock spent encoding + pushing the blob (µs).
-        serialize_us: f64,
-        /// Size of the pushed wire blob.
-        blob_bytes: usize,
-    },
+    if iteration != expected {
+        return Err(format!(
+            "blob carries iteration {iteration}, fetched for iteration {expected}"
+        ));
+    }
+    if let Ok((plan, programs)) = &outcome {
+        if plan.replicas.len() != programs.len() {
+            return Err(format!(
+                "plan has {} replicas but the blob carries {} replica programs",
+                plan.replicas.len(),
+                programs.len()
+            ));
+        }
+    }
+    Ok(outcome)
 }
 
 /// A planned (and lowered) iteration travelling through the plan-ahead
-/// queue.
+/// queue to the executor.
 struct PlannedIteration {
-    payload: PlannedPayload,
+    outcome: Result<CompiledIteration, PlanError>,
     /// Worker wall-clock spent planning (µs).
     plan_us: f64,
     /// Worker wall-clock spent lowering (µs).
@@ -654,7 +560,7 @@ pub enum WaitOutcome<T> {
     EndOfEpoch,
     /// The run was cancelled (executor failure/teardown) before this
     /// iteration completed planning — only ever observed by a consumer
-    /// running ahead of the executor (e.g. the store-mode prefetcher).
+    /// running ahead of the executor (e.g. the cluster prefetcher).
     Cancelled,
     /// A bounded [`PlanAheadQueue::wait_for_deadline`] gave up waiting:
     /// the plan is still outstanding after the deadline. The caller
@@ -1008,8 +914,8 @@ impl<T> PlanAheadQueue<T> {
     /// Block until iteration `index`'s outcome is available (executor
     /// side, strictly in order). Does **not** free the iteration's
     /// window slot: call [`PlanAheadQueue::advance`] once the payload is
-    /// fully claimed (store-backed, that is after the blob is taken, so
-    /// window slots count store occupancy).
+    /// fully claimed (with a store in between, that is after the blob is
+    /// taken, so window slots count store occupancy).
     ///
     /// # Panics
     ///
@@ -1109,7 +1015,7 @@ impl<T> PlanAheadQueue<T> {
 /// planner, the lowering stage, or the store push panics, the ticket
 /// would never be completed and the executor's in-order wait would
 /// deadlock. Dropping the armed guard during unwind poisons the queue —
-/// and, store-backed, the store, so an executor blocked in
+/// and the store, when there is one, so an executor blocked in
 /// `take_blocking` fails too — so the executor re-raises and the panic
 /// propagates through the scope join.
 pub struct TicketGuard<'a, T> {
@@ -1119,8 +1025,8 @@ pub struct TicketGuard<'a, T> {
 }
 
 impl<'a, T> TicketGuard<'a, T> {
-    /// Arm a guard for a freshly claimed ticket; pass the store when the
-    /// run is store-backed so a panic poisons it too.
+    /// Arm a guard for a freshly claimed ticket; pass the store the
+    /// worker pushes into so a panic poisons it too.
     pub fn new(queue: &'a PlanAheadQueue<T>, store: Option<&'a InstructionStore>) -> Self {
         TicketGuard {
             queue,
@@ -1147,37 +1053,6 @@ impl<T> Drop for TicketGuard<'_, T> {
     }
 }
 
-/// An iteration ready for execution, with its full distribution-path
-/// accounting — produced straight off the queue (in-process) or by the
-/// store-mode prefetcher (take + decode already paid).
-struct ClaimedIteration {
-    outcome: Result<CompiledIteration, PlanError>,
-    plan_us: f64,
-    lower_us: f64,
-    /// Host time since run start when the *executable* plan became
-    /// available to the executor (store mode: after take + decode).
-    ready_us: f64,
-    serialize_us: f64,
-    blob_bytes: usize,
-    deserialize_us: f64,
-    /// Bytes the engines execute zero-copy, straight over the fetched
-    /// wire blob ([`PlanCodec::Flat`] only; 0 otherwise).
-    flat_bytes: usize,
-}
-
-/// What the store-mode prefetcher hands the executor.
-enum Prefetched {
-    Iteration(Box<ClaimedIteration>),
-    EndOfEpoch,
-    /// The store lost a blob the queue promised (crashed counterpart /
-    /// corrupt wire blob); the executor re-raises the message.
-    Lost(String),
-}
-
-/// Execute one claimed iteration and fold it into the report and stats;
-/// returns `false` when the run must stop (planning or execution
-/// failure). Shared by both distribution modes so the fold — and thus
-/// the report — is identical by construction.
 /// Record one executed iteration's `Sim`-domain spans on the ideal
 /// simulated timeline (`sim_clock`): per-replica execution intervals,
 /// the gradient-sync tail, and (when the engines recorded op traces)
@@ -1241,20 +1116,22 @@ pub fn record_sim_iteration(
     });
 }
 
+/// Execute one planned iteration and fold it into the report and stats;
+/// returns `false` when the run must stop (planning or execution
+/// failure).
 #[allow(clippy::too_many_arguments)]
-fn fold_claimed(
+fn fold_planned(
     cm: &CostModel,
     run: &RunConfig,
     it: usize,
-    claimed: ClaimedIteration,
-    store_mode: bool,
+    planned: PlannedIteration,
     report: &mut RunReport,
     stats: &mut RuntimeStats,
     vclock: &mut f64,
     sink: &TraceSink,
     sim_clock: &mut f64,
 ) -> bool {
-    let compiled = match claimed.outcome {
+    let compiled = match planned.outcome {
         Ok(c) => c,
         Err(e) => {
             report.failure = Some(format!("iteration {it}: {e}"));
@@ -1276,17 +1153,16 @@ fn fold_claimed(
         }
     };
     // Overlap accounting on the training timeline: the virtual clock
-    // waits until the executable plan is ready — store-backed, that
-    // includes any take + decode the prefetcher could not hide — then
-    // advances by the simulated execution.
-    let exposed = (claimed.ready_us - *vclock).max(0.0);
+    // waits until the plan is ready, then advances by the simulated
+    // execution.
+    let exposed = (planned.ready_at_us - *vclock).max(0.0);
     if exposed > 0.0 {
         sink.record(Span {
             kind: SpanKind::ExposedPlanning,
             iteration: it as i64,
             host: 0,
             start_us: *vclock,
-            end_us: claimed.ready_us,
+            end_us: planned.ready_at_us,
             // The exact ledger term added to `RuntimeStats::exposed_us`,
             // so Σ span ledgers reconciles bitwise with the counter.
             wait_us: exposed,
@@ -1294,17 +1170,11 @@ fn fold_claimed(
         });
     }
     record_sim_iteration(sink, it, &exec, sim_clock);
-    *vclock = (*vclock).max(claimed.ready_us) + exec.measured_time;
-    stats.planning_us.push(claimed.plan_us + claimed.lower_us);
+    *vclock = (*vclock).max(planned.ready_at_us) + exec.measured_time;
+    stats.planning_us.push(planned.plan_us + planned.lower_us);
     stats.exec_sim_us.push(exec.measured_time);
     stats.exposed_us.push(exposed);
     stats.exec_host_us += exec.host_wall_us;
-    if store_mode {
-        stats.serialize_us.push(claimed.serialize_us);
-        stats.deserialize_us.push(claimed.deserialize_us);
-        stats.blob_bytes.push(claimed.blob_bytes);
-        stats.flat_blob_bytes.push(claimed.flat_bytes);
-    }
     record_iteration(
         report,
         cm,
@@ -1341,49 +1211,14 @@ pub struct RuntimeStats {
     pub workers: usize,
     /// Plan-ahead window used.
     pub plan_ahead: usize,
-    /// Plan-distribution layer used.
-    pub distribution: PlanDistribution,
-    /// Per executed iteration: worker time spent serializing + pushing
-    /// the plan blob (µs). Empty in in-process mode.
-    pub serialize_us: Vec<f64>,
-    /// Per executed iteration: prefetcher time spent taking + decoding
-    /// the plan blob (µs). Usually hidden behind the previous
-    /// iteration's execution — the prefetcher decodes ahead — with
-    /// iteration 0's decode unavoidably exposed. Empty in in-process
-    /// mode.
-    pub deserialize_us: Vec<f64>,
-    /// Per executed iteration: wire-blob size pushed through the store.
-    /// Empty in in-process mode.
-    pub blob_bytes: Vec<usize>,
-    /// Wire codec the store-backed path used — the label under which
-    /// `deserialize_us`/`blob_bytes` were measured (ignored in-process).
-    pub codec: PlanCodec,
-    /// Per executed iteration: bytes the engines executed zero-copy,
-    /// straight over the fetched wire blob. Equal to `blob_bytes` under
-    /// [`PlanCodec::Flat`], all-zero under the tree codecs, empty
-    /// in-process.
-    pub flat_blob_bytes: Vec<usize>,
-    /// Final instruction-store counters (store-backed mode only),
-    /// captured after teardown — `occupancy`/`bytes` must be zero (no
-    /// orphaned blobs) and `peak_occupancy ≤ plan_ahead` (window slots
-    /// count store occupancy).
-    pub store: Option<StoreStats>,
 }
 
 impl RuntimeStats {
-    /// Total planning + lowering time across iterations (µs), including
-    /// the store-backed serialize/deserialize overhead — every
-    /// microsecond the plan-distribution path costs beyond execution.
+    /// Total planning + lowering time across iterations (µs).
     pub fn total_planning_us(&self) -> f64 {
         // `+ 0.0` normalizes std's empty-f64-sum identity of -0.0, which
         // would otherwise leak a literal "-0.0" into the JSON artifacts.
-        self.planning_us.iter().sum::<f64>() + self.serde_overhead_us() + 0.0
-    }
-
-    /// Total serialize + deserialize overhead of the store-backed path
-    /// (µs); zero in in-process mode.
-    pub fn serde_overhead_us(&self) -> f64 {
-        self.serialize_us.iter().sum::<f64>() + self.deserialize_us.iter().sum::<f64>() + 0.0
+        self.planning_us.iter().sum::<f64>() + 0.0
     }
 
     /// Planning time exposed on the training timeline (µs).
@@ -1412,54 +1247,31 @@ impl RuntimeStats {
     }
 
     /// The counter ledger a trace of this run must reconcile against
-    /// (see `dynapipe_trace::Trace::reconcile`). The single-host runtime
-    /// moves no wire bytes — the store-backed push is a local handoff —
-    /// so every wire field is zero by the wire-byte rule, including
-    /// `flat_wire_bytes` (zero-copy execution over a *local* blob is
-    /// not wire traffic).
+    /// (see `dynapipe_trace::Trace::reconcile`). Plans never leave the
+    /// process, so every wire and store field is zero.
     pub fn trace_meta(&self, label: &str) -> dynapipe_trace::TraceMeta {
-        let store = self.store.clone().unwrap_or_default();
         dynapipe_trace::TraceMeta {
             label: label.to_string(),
-            codec: match self.distribution {
-                PlanDistribution::InProcess => String::new(),
-                PlanDistribution::StoreBacked => self.codec.label().to_string(),
-            },
             iterations: self.exec_sim_us.len() as u64,
             exec_sim_us: self.exec_sim_us.iter().sum::<f64>() + 0.0,
             exposed_us: self.exposed_planning_us(),
             wall_us: self.pipelined_wall_us,
-            store_pushes: store.pushes,
-            store_takes: store.takes,
-            store_discarded: store.discarded,
             ..dynapipe_trace::TraceMeta::default()
         }
     }
 }
 
 /// Run (a prefix of) one training epoch on the pipelined plan-ahead
-/// runtime.
+/// runtime, recording spans into `sink` (pass
+/// [`TraceSink::disabled`] to record nothing): the ticket lifecycle as
+/// `Host`-domain spans, the executed iterations as `Sim`-domain spans on
+/// the ideal simulated timeline (see [`record_sim_iteration`]).
 ///
 /// The produced [`RunReport`] is bit-identical to
 /// [`crate::driver::run_training`] with the same arguments, except for
 /// the wall-clock `planning_time_us` fields (see
 /// [`RunReport::behavior_eq`]); the accompanying [`RuntimeStats`] carries
 /// the overlap accounting.
-pub fn run_training_pipelined(
-    planner: &dyn IterationPlanner,
-    dataset: &Dataset,
-    gbs: GlobalBatchConfig,
-    run: RunConfig,
-    config: RuntimeConfig,
-) -> (RunReport, RuntimeStats) {
-    run_training_pipelined_traced(planner, dataset, gbs, run, config, &TraceSink::disabled())
-}
-
-/// [`run_training_pipelined`] with span recording into `sink`: the
-/// ticket lifecycle and store traffic as `Host`-domain spans, the
-/// executed iterations as `Sim`-domain spans on the ideal simulated
-/// timeline (see [`record_sim_iteration`]). With a disabled sink this
-/// *is* `run_training_pipelined` — the wrapper passes one.
 pub fn run_training_pipelined_traced(
     planner: &dyn IterationPlanner,
     dataset: &Dataset,
@@ -1494,32 +1306,12 @@ pub fn run_training_pipelined_traced(
         max_plans_resident: 0,
         workers: config.workers,
         plan_ahead: config.plan_ahead,
-        distribution: config.distribution,
-        serialize_us: Vec::new(),
-        deserialize_us: Vec::new(),
-        blob_bytes: Vec::new(),
-        codec: config.codec,
-        flat_blob_bytes: Vec::new(),
-        store: None,
-    };
-
-    // Store-backed distribution: the window accounting already bounds
-    // live blobs to `plan_ahead` (a worker holds its ticket from push
-    // until the executor's take), so the capacity gate is a hard
-    // backstop that turns an accounting bug into a loud timeout rather
-    // than unbounded growth.
-    let store = match config.distribution {
-        PlanDistribution::InProcess => None,
-        PlanDistribution::StoreBacked => {
-            Some(InstructionStore::with_capacity(config.plan_ahead))
-        }
     };
 
     std::thread::scope(|scope| {
         for worker in 0..config.workers {
             let queue = &queue;
             let stream = &stream;
-            let store = store.as_ref();
             scope.spawn(move || {
                 while let Some(ticket) = queue.claim(stream, worker) {
                     let (index, batch) = (ticket.index, &ticket.batch);
@@ -1535,57 +1327,26 @@ pub fn run_training_pipelined_traced(
                     };
                     let claim_at = sink.now_us();
                     sink.record(ticket_span(SpanKind::TicketClaim, claim_at, claim_at));
-                    let guard = TicketGuard::new(queue, store);
-                    // The lowering stage runs on the worker either
-                    // way, so the executor receives ready-to-run
-                    // programs.
-                    let planned = match store {
-                        None => {
-                            let s_plan = sink.now_us();
-                            // lint:allow(wall-clock): plan timing for RuntimeStats.planning_us, a stats field only
-                            let t_plan = Instant::now();
-                            let planned = planner.plan(batch);
-                            let plan_us = t_plan.elapsed().as_secs_f64() * 1e6;
-                            sink.record(ticket_span(SpanKind::TicketPlan, s_plan, sink.now_us()));
-                            let s_lower = sink.now_us();
-                            // lint:allow(wall-clock): lowering timing for RuntimeStats stats fields only
-                            let t_lower = Instant::now();
-                            let outcome = planned.map(|p| lower_iteration(cm, p));
-                            let lower_us = t_lower.elapsed().as_secs_f64() * 1e6;
-                            sink.record(ticket_span(SpanKind::TicketLower, s_lower, sink.now_us()));
-                            PlannedIteration {
-                                payload: PlannedPayload::InProcess(Box::new(outcome)),
-                                plan_us,
-                                lower_us,
-                                ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                            }
-                        }
-                        Some(store) => {
-                            let push = plan_lower_push_traced(
-                                planner,
-                                store,
-                                config.codec,
-                                index,
-                                batch,
-                                DuplicatePush::Fail,
-                                &TicketTraceCtx {
-                                    sink,
-                                    worker: worker as i64,
-                                    host: 0,
-                                    shard: 0,
-                                    generation: ticket.generation,
-                                },
-                            );
-                            PlannedIteration {
-                                payload: PlannedPayload::Stored {
-                                    serialize_us: push.serialize_us,
-                                    blob_bytes: push.blob_bytes,
-                                },
-                                plan_us: push.plan_us,
-                                lower_us: push.lower_us,
-                                ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                            }
-                        }
+                    let guard = TicketGuard::new(queue, None);
+                    // The lowering stage runs on the worker, so the
+                    // executor receives ready-to-run programs.
+                    let s_plan = sink.now_us();
+                    // lint:allow(wall-clock): plan timing for RuntimeStats.planning_us, a stats field only
+                    let t_plan = Instant::now();
+                    let planned = planner.plan(batch);
+                    let plan_us = t_plan.elapsed().as_secs_f64() * 1e6;
+                    sink.record(ticket_span(SpanKind::TicketPlan, s_plan, sink.now_us()));
+                    let s_lower = sink.now_us();
+                    // lint:allow(wall-clock): lowering timing for RuntimeStats stats fields only
+                    let t_lower = Instant::now();
+                    let outcome = planned.map(|p| lower_iteration(cm, p));
+                    let lower_us = t_lower.elapsed().as_secs_f64() * 1e6;
+                    sink.record(ticket_span(SpanKind::TicketLower, s_lower, sink.now_us()));
+                    let planned = PlannedIteration {
+                        outcome,
+                        plan_us,
+                        lower_us,
+                        ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
                     };
                     let outcome = queue.complete(index, ticket.generation, planned);
                     let done_at = sink.now_us();
@@ -1600,219 +1361,38 @@ pub fn run_training_pipelined_traced(
         }
 
         // The executor: consume strictly in order on the caller thread.
-        //
-        // In-process, the payload comes straight off the queue. Store-
-        // backed, a **prefetcher** thread runs between the queue and the
-        // executor — it takes each blob in order, decodes it, then hands
-        // the executable plan over a small bounded channel. That is the
-        // paper's executor-side prefetch: deserialization overlaps the
-        // previous iteration's execution instead of sitting on the
-        // critical path (only iteration 0's decode is unavoidably
-        // exposed). The window slot is released only after the blob is
-        // taken, so window slots still count store occupancy.
         let mut vclock = 0.0f64;
         let mut sim_clock = 0.0f64;
-        match &store {
-            None => {
-                for it in 0..cap {
-                    let planned = match queue.wait_for(it) {
-                        WaitOutcome::EndOfEpoch => break,
-                        WaitOutcome::Cancelled => {
-                            unreachable!("only the executor cancels, after this loop")
-                        }
-                        WaitOutcome::Deadline => {
-                            unreachable!("wait_for is unbounded")
-                        }
-                        WaitOutcome::Planned(p) => p,
-                    };
-                    queue.advance(it);
-                    let PlannedPayload::InProcess(outcome) = planned.payload else {
-                        unreachable!("in-process runs carry in-process payloads")
-                    };
-                    let claimed = ClaimedIteration {
-                        outcome: *outcome,
-                        plan_us: planned.plan_us,
-                        lower_us: planned.lower_us,
-                        ready_us: planned.ready_at_us,
-                        serialize_us: 0.0,
-                        blob_bytes: 0,
-                        deserialize_us: 0.0,
-                        flat_bytes: 0,
-                    };
-                    if !fold_claimed(
-                        cm,
-                        &run,
-                        it,
-                        claimed,
-                        false,
-                        &mut report,
-                        &mut stats,
-                        &mut vclock,
-                        sink,
-                        &mut sim_clock,
-                    ) {
-                        break;
-                    }
+        for it in 0..cap {
+            let planned = match queue.wait_for(it) {
+                WaitOutcome::EndOfEpoch => break,
+                WaitOutcome::Cancelled => {
+                    unreachable!("only the executor cancels, after this loop")
                 }
-            }
-            Some(store) => {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Prefetched>(1);
-                {
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        for it in 0..cap {
-                            let planned = match queue.wait_for(it) {
-                                WaitOutcome::Cancelled => return,
-                                WaitOutcome::EndOfEpoch => {
-                                    let _ = tx.send(Prefetched::EndOfEpoch);
-                                    return;
-                                }
-                                WaitOutcome::Deadline => {
-                                    unreachable!("wait_for is unbounded")
-                                }
-                                WaitOutcome::Planned(p) => p,
-                            };
-                            let PlannedPayload::Stored {
-                                serialize_us,
-                                blob_bytes,
-                            } = planned.payload
-                            else {
-                                unreachable!("store-backed runs carry stored payloads")
-                            };
-                            let s_take = sink.now_us();
-                            // lint:allow(wall-clock): deserialize timing for RuntimeStats.deserialize_us, a stats field only
-                            let t_deser = Instant::now();
-                            let decoded = store
-                                .take_blocking(it, STORE_WAIT)
-                                .map_err(|e| format!("take: {e}"))
-                                .and_then(|blob| {
-                                    let taken_at = sink.now_us();
-                                    sink.record(Span {
-                                        kind: SpanKind::StoreTake,
-                                        iteration: it as i64,
-                                        lane: 0,
-                                        host: 0,
-                                        start_us: s_take,
-                                        end_us: taken_at,
-                                        bytes: blob.len() as u64,
-                                        ..Span::default()
-                                    });
-                                    let decoded = decode_for_execution(config.codec, blob)
-                                        .map_err(|e| format!("decode: {e}"));
-                                    sink.record(Span {
-                                        kind: SpanKind::Decode,
-                                        iteration: it as i64,
-                                        lane: 0,
-                                        host: 0,
-                                        start_us: taken_at,
-                                        end_us: sink.now_us(),
-                                        ..Span::default()
-                                    });
-                                    decoded
-                                });
-                            // Blob out of the store: the window slot is free.
-                            queue.advance(it);
-                            let (iteration, decoded) = match decoded {
-                                Ok(s) => s,
-                                Err(e) => {
-                                    // Losing a blob the queue promised is a
-                                    // crashed counterpart / corrupt wire
-                                    // blob, not a recoverable outcome.
-                                    let _ = tx.send(Prefetched::Lost(format!(
-                                        "instruction store lost iteration {it}: {e}"
-                                    )));
-                                    return;
-                                }
-                            };
-                            debug_assert_eq!(iteration, it, "blob is self-describing");
-                            let outcome = decoded.map(|(plan, programs)| {
-                                CompiledIteration { plan, programs }
-                            });
-                            let claimed = ClaimedIteration {
-                                outcome,
-                                plan_us: planned.plan_us,
-                                lower_us: planned.lower_us,
-                                ready_us: t0.elapsed().as_secs_f64() * 1e6,
-                                serialize_us,
-                                blob_bytes,
-                                deserialize_us: t_deser.elapsed().as_secs_f64() * 1e6,
-                                flat_bytes: if config.codec == PlanCodec::Flat {
-                                    blob_bytes
-                                } else {
-                                    0
-                                },
-                            };
-                            if tx.send(Prefetched::Iteration(Box::new(claimed))).is_err() {
-                                return; // executor stopped consuming
-                            }
-                        }
-                        let _ = tx.send(Prefetched::EndOfEpoch);
-                    });
-                }
-                for it in 0..cap {
-                    match rx.recv() {
-                        Ok(Prefetched::EndOfEpoch) => break,
-                        Ok(Prefetched::Lost(e)) => {
-                            queue.cancel();
-                            panic!("{e}");
-                        }
-                        Err(_) => {
-                            // The prefetcher died without a message: a
-                            // planner worker panicked under it. Unblock the
-                            // pool and re-raise; the scope join surfaces
-                            // the original panic.
-                            queue.cancel();
-                            panic!("a planner worker panicked while planning ahead");
-                        }
-                        Ok(Prefetched::Iteration(claimed)) => {
-                            if !fold_claimed(
-                                cm,
-                                &run,
-                                it,
-                                *claimed,
-                                true,
-                                &mut report,
-                                &mut stats,
-                                &mut vclock,
-                                sink,
-                                &mut sim_clock,
-                            ) {
-                                break;
-                            }
-                        }
-                    }
-                }
-                // Executor done (epoch end, cap, or failure): releasing the
-                // channel unblocks a prefetcher stuck in `send`.
-                drop(rx);
+                WaitOutcome::Deadline => unreachable!("wait_for is unbounded"),
+                WaitOutcome::Planned(p) => p,
+            };
+            queue.advance(it);
+            if !fold_planned(
+                cm,
+                &run,
+                it,
+                planned,
+                &mut report,
+                &mut stats,
+                &mut vclock,
+                sink,
+                &mut sim_clock,
+            ) {
+                break;
             }
         }
         stats.pipelined_wall_us = vclock;
         // Teardown: stop workers that are waiting on the window or about
-        // to claim past a failure, and wake a prefetcher waiting on a
-        // plan that will never come.
+        // to claim past a failure.
         queue.cancel();
     });
 
-    // Workers are joined: discard speculative blobs past a failure so the
-    // store never leaks plans (they are counted as `discarded`).
-    if let Some(store) = &store {
-        let swept = store.clear_remaining();
-        let swept_at = sink.now_us();
-        for _ in 0..swept {
-            // Speculative blobs discarded at teardown, so the
-            // store-discard span count matches `StoreStats::discarded`.
-            sink.record(Span {
-                kind: SpanKind::StoreDiscard,
-                lane: 0,
-                host: 0,
-                start_us: swept_at,
-                end_us: swept_at,
-                ..Span::default()
-            });
-        }
-        stats.store = Some(store.stats());
-    }
     stats.host_wall_us = t0.elapsed().as_secs_f64() * 1e6;
     stats.max_plans_resident = queue.max_ready();
     (report, stats)
@@ -1893,7 +1473,7 @@ mod tests {
             ..Default::default()
         };
         let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, stats) = run_training_pipelined(
+        let (pipelined, stats) = run_training_pipelined_traced(
             &planner,
             &dataset,
             gbs(),
@@ -1901,8 +1481,8 @@ mod tests {
             RuntimeConfig {
                 plan_ahead: 2,
                 workers: 2,
-                ..Default::default()
             },
+            &TraceSink::disabled(),
         );
         serial.behavior_eq(&pipelined).unwrap();
         assert_eq!(stats.planning_us.len(), 3);
@@ -1942,7 +1522,14 @@ mod tests {
                 ..Default::default()
             };
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_training_pipelined(&planner, &dataset, gbs(), run, RuntimeConfig::default())
+                run_training_pipelined_traced(
+                    &planner,
+                    &dataset,
+                    gbs(),
+                    run,
+                    RuntimeConfig::default(),
+                    &TraceSink::disabled(),
+                )
             }))
             .is_err();
             let _ = tx.send(panicked);
@@ -1963,8 +1550,14 @@ mod tests {
             ..Default::default()
         };
         let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, stats) =
-            run_training_pipelined(&planner, &dataset, gbs(), run, RuntimeConfig::default());
+        let (pipelined, stats) = run_training_pipelined_traced(
+            &planner,
+            &dataset,
+            gbs(),
+            run,
+            RuntimeConfig::default(),
+            &TraceSink::disabled(),
+        );
         serial.behavior_eq(&pipelined).unwrap();
         assert!(pipelined.records.is_empty());
         assert_eq!(stats.total_planning_us(), 0.0);
@@ -1981,7 +1574,7 @@ mod tests {
             ..Default::default()
         };
         let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, _) = run_training_pipelined(
+        let (pipelined, _) = run_training_pipelined_traced(
             &planner,
             &dataset,
             gbs(),
@@ -1989,49 +1582,11 @@ mod tests {
             RuntimeConfig {
                 plan_ahead: 3,
                 workers: 2,
-                ..Default::default()
             },
+            &TraceSink::disabled(),
         );
         serial.behavior_eq(&pipelined).unwrap();
         assert!(!pipelined.records.is_empty());
-    }
-
-    #[test]
-    fn store_backed_run_matches_serial_and_accounts_the_store() {
-        let cm = cost_model(2, 1);
-        let planner = DynaPipePlanner::new(cm, PlannerConfig::default());
-        let dataset = Dataset::flanv2(39, 400);
-        let run = RunConfig {
-            max_iterations: Some(3),
-            ..Default::default()
-        };
-        let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, stats) = run_training_pipelined(
-            &planner,
-            &dataset,
-            gbs(),
-            run,
-            RuntimeConfig {
-                plan_ahead: 2,
-                workers: 2,
-                distribution: PlanDistribution::StoreBacked,
-                ..Default::default()
-            },
-        );
-        serial.behavior_eq(&pipelined).unwrap();
-        assert_eq!(stats.serialize_us.len(), 3);
-        assert_eq!(stats.deserialize_us.len(), 3);
-        assert!(stats.serde_overhead_us() > 0.0, "the wire hop is not free");
-        let store = stats.store.expect("store-backed runs snapshot the store");
-        assert_eq!(store.occupancy, 0, "no orphaned blobs");
-        assert_eq!(store.bytes, 0);
-        assert_eq!(store.pushes, 3);
-        assert_eq!(store.takes, 3);
-        assert!(
-            store.peak_occupancy <= 2,
-            "window slots bound store occupancy: {} > 2",
-            store.peak_occupancy
-        );
     }
 
     #[test]
@@ -2160,48 +1715,5 @@ mod tests {
         assert_eq!(queue.complete(r0.index, 1, 1), CompleteOutcome::Accepted);
         assert_eq!(queue.complete(r1.index, 1, 1), CompleteOutcome::Accepted);
         assert_eq!(queue.churn_stats().reissued, 2);
-    }
-
-    #[test]
-    fn store_backed_worker_panic_poisons_store_and_propagates() {
-        struct PanickingPlanner(Arc<CostModel>);
-        impl IterationPlanner for PanickingPlanner {
-            fn plan(&self, _: &[Sample]) -> Result<IterationPlan, PlanError> {
-                panic!("injected planner panic");
-            }
-            fn cost_model(&self) -> &CostModel {
-                &self.0
-            }
-            fn label(&self) -> String {
-                "panicking".to_string()
-            }
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let planner = PanickingPlanner(cost_model(2, 1));
-            let dataset = Dataset::flanv2(37, 200);
-            let run = RunConfig {
-                max_iterations: Some(3),
-                ..Default::default()
-            };
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_training_pipelined(
-                    &planner,
-                    &dataset,
-                    gbs(),
-                    run,
-                    RuntimeConfig {
-                        distribution: PlanDistribution::StoreBacked,
-                        ..Default::default()
-                    },
-                )
-            }))
-            .is_err();
-            let _ = tx.send(panicked);
-        });
-        let panicked = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("store-backed run must terminate, not deadlock");
-        assert!(panicked, "worker panic must propagate to the caller");
     }
 }

@@ -1,4 +1,4 @@
-//! The distributed instruction store (Fig. 9): the runtime's actual
+//! The distributed instruction store (Fig. 9): the cluster runtime's
 //! plan-distribution layer.
 //!
 //! The paper decouples the planner pool from the executors through a Redis
@@ -13,22 +13,22 @@
 //!   models a real process boundary: everything an executor needs must
 //!   survive encode/decode (pinned bit-exactly by
 //!   `tests/serialization.rs` and the differential harness in
-//!   `crates/core/tests/runtime_equivalence.rs`). The store is
+//!   `crates/cluster/tests/cluster_equivalence.rs`). The store is
 //!   **codec-agnostic**: a blob is `Vec<u8>` in and [`Arc<[u8]>`] out,
 //!   and the choice of wire encoding — self-describing JSON or the
 //!   length-prefixed binary codec — lives entirely in
 //!   [`crate::codec::PlanCodec`], which [`StoredPlan::encode`] /
 //!   [`StoredPlan::decode`] take explicitly. Pusher and taker must agree
-//!   on the codec out of band (the runtime carries it in
-//!   `RuntimeConfig`, the cluster layer in its `ClusterConfig`), exactly
-//!   as two processes sharing a Redis instance would;
+//!   on the codec out of band (the cluster runtime carries it in its
+//!   `ClusterConfig`), exactly as two processes sharing a Redis instance
+//!   would;
 //! * **capacity backpressure** — [`InstructionStore::push_blocking`]
 //!   blocks while the store is at capacity, the put-side analogue of the
-//!   runtime's bounded plan-ahead window. When the pipelined runtime runs
-//!   store-backed, the window's slots *are* store occupancy: a planner
-//!   worker holds a claimed ticket from push until the executor's take,
-//!   so live blobs never exceed `plan_ahead` and the push side never
-//!   stalls — the queue's window accounting carries over;
+//!   runtime's bounded plan-ahead window. In the cluster runtime the
+//!   window's slots *are* store occupancy: a planner worker holds a
+//!   claimed ticket from push until the executor's take, so live blobs
+//!   never exceed `plan_ahead` and the push side never stalls — the
+//!   queue's window accounting carries over;
 //! * **fetch-with-timeout** — [`InstructionStore::take_blocking`] is the
 //!   executor's in-order wait: it returns the blob as soon as the planner
 //!   lands it, or a [`StoreError::Timeout`] if the plan never arrives
@@ -38,7 +38,7 @@
 //!   error ([`StoreError::Consumed`]), not a silent resurrection;
 //! * **re-issue pushes** — under churn recovery an iteration may be
 //!   planned twice (the original straggler and the re-issued attempt
-//!   race to push the *byte-identical* blob). The elastic runtime pushes
+//!   race to push the *byte-identical* blob). Planner workers push
 //!   through [`InstructionStore::push_discarding`]: whichever attempt
 //!   lands second hits the live key or the tombstone and is counted as
 //!   an explicit discard — never a silent overwrite, never an error that
@@ -46,13 +46,13 @@
 //!   `takes + discarded == pushes` therefore still closes to zero
 //!   orphaned blobs, duplicates included;
 //! * **poison** — [`InstructionStore::poison`] fails every current and
-//!   future blocking operation with [`StoreError::Poisoned`]; the runtime
-//!   poisons the store from a planner worker's unwind path (mirroring the
-//!   plan-ahead queue's `TicketGuard`) so a crashed planner fails the
-//!   executor instead of deadlocking it;
+//!   future blocking operation with [`StoreError::Poisoned`]; the
+//!   cluster runtime poisons the store from a planner worker's unwind
+//!   path (the plan-ahead queue's `TicketGuard`) so a crashed planner
+//!   fails the executor instead of deadlocking it;
 //! * **counters** — per-shard occupancy/bytes/hit/miss plus store-wide
 //!   push/take/discard totals ([`StoreStats`]), surfaced through
-//!   `RuntimeStats` by the store-backed runtime.
+//!   `ClusterReport::store` by the cluster runtime.
 //!
 //! # Where the store lives
 //!

@@ -4,28 +4,25 @@
 //! behavior. `RunReport::behavior_eq` compares every field exactly
 //! (floats by bit pattern) except the wall-clock `planning_time_us`.
 //!
-//! Every scenario runs the full distribution matrix: the serial golden
-//! reference, the in-process pipelined runtime, and the **store-backed**
-//! runtime, whose plans cross the instruction store as serialized wire
-//! blobs. The store-backed report must be bit-identical to *both* others
-//! — the serialization roundtrip (float formatting, enum encoding, map
-//! ordering) is exactly where silent divergence would sneak in, which is
-//! why this harness fronts the store-backed runtime.
+//! Every scenario runs across plan-ahead window × worker shapes, and
+//! each run's span trace must validate and reconcile with its counters.
+//! The store-backed deployment of the same pipeline — plans crossing the
+//! instruction store as wire blobs — is the cluster runtime, pinned to
+//! the serial driver and to this runtime's Sim timeline by
+//! `crates/cluster/tests/cluster_equivalence.rs`.
 
 use dynapipe_core::{
     run_training, run_training_pipelined_traced, BaselineKind, BaselinePlanner, DynaPipePlanner,
-    IterationPlan, IterationPlanner, PlanCodec, PlanDistribution, PlanError, PlannerConfig,
-    RunConfig, RunReport, RuntimeConfig, RuntimeStats,
+    IterationPlanner, PlannerConfig, RunConfig, RunReport, RuntimeConfig, RuntimeStats,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};
+use dynapipe_data::{Dataset, GlobalBatchConfig, Sample};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use dynapipe_sim::JitterConfig;
-use dynapipe_trace::{sim_eq, TraceSink};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use dynapipe_trace::TraceSink;
+use std::sync::Arc;
 
-/// Span-ring capacity for the traced matrix runs: large enough that no
+/// Span-ring capacity for the traced runs: large enough that no
 /// scenario drops a span (drops would fail `reconcile`).
 const TRACE_CAP: usize = 1 << 20;
 
@@ -45,13 +42,11 @@ fn gbs() -> GlobalBatchConfig {
     }
 }
 
-/// Run every pipelined mode against the serial reference and pin the
-/// whole matrix: in-process == serial, store-backed == serial for
-/// **both wire codecs**, and store-backed == in-process (transitively
-/// implied, asserted anyway so a failure names the closest pair).
-/// Returns the in-process stats and the JSON-codec store stats for
+/// Run the pipelined runtime against the serial reference: the report
+/// must be `behavior_eq` to serial, and the run's trace must validate
+/// and reconcile with its counters. Returns the stats for
 /// scenario-specific assertions.
-fn assert_distribution_matrix(
+fn assert_pipelined_matches(
     planner: &dyn IterationPlanner,
     dataset: &Dataset,
     gbs: GlobalBatchConfig,
@@ -59,9 +54,9 @@ fn assert_distribution_matrix(
     plan_ahead: usize,
     workers: usize,
     serial: &RunReport,
-) -> (RuntimeStats, RuntimeStats) {
-    let ip_sink = TraceSink::bounded(TRACE_CAP);
-    let (in_process, ip_stats) = run_training_pipelined_traced(
+) -> RuntimeStats {
+    let sink = TraceSink::bounded(TRACE_CAP);
+    let (pipelined, stats) = run_training_pipelined_traced(
         planner,
         dataset,
         gbs,
@@ -69,90 +64,28 @@ fn assert_distribution_matrix(
         RuntimeConfig {
             plan_ahead,
             workers,
-            distribution: PlanDistribution::InProcess,
-            codec: PlanCodec::default(),
         },
-        &ip_sink,
+        &sink,
     );
     serial
-        .behavior_eq(&in_process)
-        .unwrap_or_else(|e| panic!("in-process vs serial (w={plan_ahead},{workers}): {e}"));
-    // The Sim-domain timeline is a pure function of the behavior-pinned
-    // execution results: every store-backed codec's trace must carry it
-    // bit-identically to the in-process run's.
-    let mut ip_trace = ip_sink.finish();
-    ip_trace.meta = ip_stats.trace_meta("in-process");
-    ip_trace
+        .behavior_eq(&pipelined)
+        .unwrap_or_else(|e| panic!("pipelined vs serial (w={plan_ahead},{workers}): {e}"));
+    let mut trace = sink.finish();
+    trace.meta = stats.trace_meta("in-process");
+    trace
         .validate()
-        .unwrap_or_else(|e| panic!("in-process trace validation: {e}"));
-    ip_trace
+        .unwrap_or_else(|e| panic!("pipelined trace validation: {e}"));
+    trace
         .reconcile()
-        .unwrap_or_else(|e| panic!("in-process trace reconciliation: {e}"));
-    let mut json_stats = None;
-    for codec in PlanCodec::ALL {
-        let label = codec.label();
-        let sb_sink = TraceSink::bounded(TRACE_CAP);
-        let (store_backed, sb_stats) = run_training_pipelined_traced(
-            planner,
-            dataset,
-            gbs,
-            run,
-            RuntimeConfig {
-                plan_ahead,
-                workers,
-                distribution: PlanDistribution::StoreBacked,
-                codec,
-            },
-            &sb_sink,
-        );
-        serial.behavior_eq(&store_backed).unwrap_or_else(|e| {
-            panic!("store-backed/{label} vs serial (w={plan_ahead},{workers}): {e}")
-        });
-        in_process.behavior_eq(&store_backed).unwrap_or_else(|e| {
-            panic!("store-backed/{label} vs in-process (w={plan_ahead},{workers}): {e}")
-        });
-        // Store invariants that hold in every scenario: teardown leaves
-        // no orphaned blobs, and the plan-ahead window bounds store
-        // occupancy.
-        let store = sb_stats
-            .store
-            .as_ref()
-            .expect("store-backed runs snapshot the store");
-        assert_eq!(store.occupancy, 0, "orphaned blobs after teardown ({label})");
-        assert_eq!(store.bytes, 0, "leaked bytes after teardown ({label})");
-        assert!(
-            store.peak_occupancy <= plan_ahead,
-            "store occupancy {} exceeded the plan-ahead window {plan_ahead} ({label})",
-            store.peak_occupancy
-        );
-        assert!(
-            store.per_shard.iter().all(|s| s.occupancy == 0 && s.bytes == 0),
-            "per-shard counters must reconcile to zero ({label})"
-        );
-        let mut sb_trace = sb_sink.finish();
-        sb_trace.meta = sb_stats.trace_meta(&format!("store-backed/{label}"));
-        sb_trace
-            .validate()
-            .unwrap_or_else(|e| panic!("store-backed/{label} trace validation: {e}"));
-        sb_trace
-            .reconcile()
-            .unwrap_or_else(|e| panic!("store-backed/{label} trace reconciliation: {e}"));
-        sim_eq(&ip_trace, &sb_trace).unwrap_or_else(|e| {
-            panic!("store-backed/{label} Sim timeline diverged from in-process: {e}")
-        });
-        if codec == PlanCodec::Json {
-            json_stats = Some(sb_stats);
-        }
-    }
-    (ip_stats, json_stats.expect("JSON arm ran"))
+        .unwrap_or_else(|e| panic!("pipelined trace reconciliation: {e}"));
+    stats
 }
 
 #[test]
 fn jittered_runs_are_bit_identical_across_window_and_worker_shapes() {
-    // Jitter seeds are keyed by (iteration_index, replica), so both
-    // pipelined modes must reproduce jittered measurements exactly no
-    // matter how planning is scheduled across workers and windows — and
-    // no matter that the store-backed plans were rebuilt from JSON.
+    // Jitter seeds are keyed by (iteration_index, replica), so the
+    // pipelined runtime must reproduce jittered measurements exactly no
+    // matter how planning is scheduled across workers and windows.
     let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
     let dataset = Dataset::flanv2(101, 500);
     let run = RunConfig {
@@ -166,20 +99,14 @@ fn jittered_runs_are_bit_identical_across_window_and_worker_shapes() {
     let serial = run_training(&planner, &dataset, gbs(), run);
     assert!(serial.feasible(), "fixture must run clean: {:?}", serial.failure);
     for (plan_ahead, workers) in [(1, 1), (2, 3), (6, 2)] {
-        let (ip_stats, sb_stats) = assert_distribution_matrix(
+        let stats = assert_pipelined_matches(
             &planner, &dataset, gbs(), run, plan_ahead, workers, &serial,
         );
-        for stats in [&ip_stats, &sb_stats] {
-            assert!(
-                stats.max_plans_resident <= plan_ahead,
-                "plan-ahead window exceeded: {} > {plan_ahead}",
-                stats.max_plans_resident
-            );
-        }
-        // The wire hop is real work and is accounted per iteration.
-        assert_eq!(sb_stats.serialize_us.len(), 4);
-        assert_eq!(sb_stats.deserialize_us.len(), 4);
-        assert!(sb_stats.blob_bytes.iter().all(|&b| b > 0));
+        assert!(
+            stats.max_plans_resident <= plan_ahead,
+            "plan-ahead window exceeded: {} > {plan_ahead}",
+            stats.max_plans_resident
+        );
     }
 }
 
@@ -198,7 +125,7 @@ fn jitter_free_data_parallel_runs_match() {
     };
     let serial = run_training(&planner, &dataset, gbs, run);
     assert!(serial.feasible(), "{:?}", serial.failure);
-    assert_distribution_matrix(&planner, &dataset, gbs, run, 3, 2, &serial);
+    assert_pipelined_matches(&planner, &dataset, gbs, run, 3, 2, &serial);
 }
 
 #[test]
@@ -218,7 +145,7 @@ fn baseline_planners_run_pipelined_too() {
     };
     let serial = run_training(&planner, &dataset, gbs(), run);
     let defaults = RuntimeConfig::default();
-    assert_distribution_matrix(
+    assert_pipelined_matches(
         &planner,
         &dataset,
         gbs(),
@@ -229,76 +156,13 @@ fn baseline_planners_run_pipelined_too() {
     );
 }
 
-/// Delegates to a planner, but plans the mini-batch holding sample
-/// `failing` only once the mini-batch starting with sample `next` has
-/// been planned as often as the failing one has been requested. Tickets
-/// are claimed in order and a claimed plan is always pushed, so with two
-/// workers and a window > 1 the iteration after the failure is planned
-/// and pushed before the failure reaches the executor.
-struct FailAfterLookahead<'a> {
-    inner: &'a DynaPipePlanner,
-    failing: u64,
-    next: u64,
-    /// (failing plans requested, `next` plans finished)
-    counts: Mutex<(usize, usize)>,
-    planned_next: Condvar,
-}
-
-impl<'a> FailAfterLookahead<'a> {
-    fn new(inner: &'a DynaPipePlanner, failing: u64, next: u64) -> Self {
-        FailAfterLookahead {
-            inner,
-            failing,
-            next,
-            counts: Mutex::new((0, 0)),
-            planned_next: Condvar::new(),
-        }
-    }
-}
-
-impl IterationPlanner for FailAfterLookahead<'_> {
-    fn plan(&self, minibatch: &[Sample]) -> Result<IterationPlan, PlanError> {
-        if minibatch.iter().any(|s| s.id == self.failing) {
-            let mut counts = self.counts.lock().unwrap();
-            counts.0 += 1;
-            let want = counts.0;
-            let (_counts, wait) = self
-                .planned_next
-                .wait_timeout_while(counts, Duration::from_secs(60), |c| c.1 < want)
-                .unwrap();
-            assert!(
-                !wait.timed_out(),
-                "the iteration after the failure was never planned"
-            );
-            return self.inner.plan(minibatch);
-        }
-        let out = self.inner.plan(minibatch);
-        if minibatch.first().map(|s| s.id) == Some(self.next) {
-            self.counts.lock().unwrap().1 += 1;
-            self.planned_next.notify_all();
-        }
-        out
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        IterationPlanner::cost_model(self.inner)
-    }
-
-    fn label(&self) -> String {
-        IterationPlanner::label(self.inner)
-    }
-}
-
 #[test]
-fn failure_mid_epoch_stops_all_runtimes_at_the_same_iteration() {
+fn failure_mid_epoch_stops_the_pipeline_at_the_serial_iteration() {
     // A 2M-token monster sample lands alone in a mini-batch a few
     // iterations in: no recompute mode can fit it, so planning fails
-    // mid-epoch. Both pipelined runtimes have speculatively planned
-    // further iterations by then — they must discard them and stop with
-    // exactly the serial driver's failure, records and totals. In
-    // store-backed mode the failure itself crosses the store as a wire
-    // blob, and the speculative blobs past it must be swept out: the
-    // store ends empty, with the discards accounted.
+    // mid-epoch. The pipelined runtime may have speculatively planned
+    // further iterations by then — it must discard them and stop with
+    // exactly the serial driver's failure, records and totals.
     let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
     let mut dataset = Dataset::flanv2(109, 400);
     dataset.samples[130] = Sample {
@@ -335,36 +199,11 @@ fn failure_mid_epoch_stops_all_runtimes_at_the_same_iteration() {
         "unexpected failure placement: {:?}",
         serial.failure
     );
-    // With a window > 1 the failing plan is held back until the next
-    // iteration has been planned, so a speculative blob past the failure
-    // exists on every run instead of only when the workers happen to
-    // outrun the executor.
-    let batches: Vec<Vec<Sample>> = GlobalBatchIter::new(&dataset, gbs).collect();
-    let lookahead = FailAfterLookahead::new(&planner, 130, batches[failed_at + 1][0].id);
     for (plan_ahead, workers) in [(1, 1), (4, 2)] {
-        let planner: &dyn IterationPlanner = if plan_ahead > 1 { &lookahead } else { &planner };
-        let (ip_stats, sb_stats) = assert_distribution_matrix(
-            planner, &dataset, gbs, run, plan_ahead, workers, &serial,
+        let stats = assert_pipelined_matches(
+            &planner, &dataset, gbs, run, plan_ahead, workers, &serial,
         );
         // Speculative plans beyond the failure never become records.
-        assert_eq!(ip_stats.planning_us.len(), failed_at);
-        assert_eq!(sb_stats.planning_us.len(), failed_at);
-        // No orphaned blobs (asserted in the matrix helper): every pushed
-        // blob was taken or discarded, and with a window > 1 the
-        // speculative blobs past the failure really existed and were
-        // discarded rather than leaked.
-        let store = sb_stats.store.as_ref().unwrap();
-        assert_eq!(store.occupancy, 0);
-        assert_eq!(
-            store.pushes,
-            store.takes + store.discarded,
-            "pushed blobs must all be taken or discarded: {store:?}"
-        );
-        if plan_ahead > 1 {
-            assert!(
-                store.discarded > 0,
-                "a wide window must have parked speculative blobs to discard"
-            );
-        }
+        assert_eq!(stats.planning_us.len(), failed_at);
     }
 }

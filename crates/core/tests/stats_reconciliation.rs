@@ -1,18 +1,20 @@
-//! Reconciliation checks for the wall-clock side of [`RuntimeStats`]
-//! and the high-water marks of [`dynapipe_core::StoreStats`]. These
-//! fields are excluded from `behavior_eq` by design — which is exactly
-//! why they need their own test: a write-only ledger field can rot
-//! (never incremented, double counted, wrong unit) without any
-//! equivalence suite noticing. `dynapipe-lint`'s counter-coverage rule
-//! fails the build if one of these stops being referenced by a test.
+//! Reconciliation checks for the wall-clock side of
+//! [`dynapipe_core::RuntimeStats`]. These fields are excluded from
+//! `behavior_eq` by design — which is exactly why they need their own
+//! test: a write-only ledger field can rot (never incremented, double
+//! counted, wrong unit) without any equivalence suite noticing.
+//! `dynapipe-lint`'s counter-coverage rule fails the build if one of
+//! these stops being referenced by a test. The store's high-water marks
+//! are checked on the cluster runtime, the one runtime that uses a
+//! store (`crates/cluster/tests/cluster_equivalence.rs`).
 
 use dynapipe_core::{
-    run_training_pipelined, DynaPipePlanner, PlanCodec, PlanDistribution,
-    PlannerConfig, RunConfig, RuntimeConfig,
+    run_training_pipelined_traced, DynaPipePlanner, PlannerConfig, RunConfig, RuntimeConfig,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+use dynapipe_trace::TraceSink;
 use std::sync::Arc;
 
 fn planner() -> DynaPipePlanner {
@@ -35,7 +37,7 @@ fn gbs() -> GlobalBatchConfig {
 }
 
 #[test]
-fn wall_clock_stats_reconcile_on_a_store_backed_run() {
+fn wall_clock_stats_reconcile_on_a_pipelined_run() {
     let planner = planner();
     let dataset = Dataset::flanv2(211, 400);
     let iterations = 4usize;
@@ -43,7 +45,7 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
         max_iterations: Some(iterations),
         ..Default::default()
     };
-    let (report, stats) = run_training_pipelined(
+    let (report, stats) = run_training_pipelined_traced(
         &planner,
         &dataset,
         gbs(),
@@ -51,9 +53,8 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
         RuntimeConfig {
             plan_ahead: 2,
             workers: 2,
-            distribution: PlanDistribution::StoreBacked,
-            codec: PlanCodec::Binary,
         },
+        &TraceSink::disabled(),
     );
     assert!(report.feasible(), "fixture must run clean: {:?}", report.failure);
 
@@ -82,70 +83,4 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
         stats.exec_host_us,
         stats.host_wall_us
     );
-
-    // Store high-water marks: a store-backed run pushed real bytes, so
-    // peak_bytes was set and must dominate the (post-teardown, zero)
-    // steady-state byte counter.
-    let store = stats.store.as_ref().expect("store-backed run has store stats");
-    assert!(store.peak_bytes > 0, "peak_bytes never recorded a push");
-    assert!(
-        store.peak_bytes >= store.bytes,
-        "peak_bytes {} below final bytes {}",
-        store.peak_bytes,
-        store.bytes
-    );
-    assert_eq!(store.bytes, 0, "teardown must drain all bytes");
-
-    // The stats carry the codec label their decode timings were measured
-    // under, and a tree-codec run never executes bytes zero-copy.
-    assert_eq!(stats.codec, PlanCodec::Binary);
-    assert_eq!(stats.flat_blob_bytes.len(), iterations);
-    assert!(
-        stats.flat_blob_bytes.iter().all(|&b| b == 0),
-        "a binary-codec run must not report zero-copy flat bytes: {:?}",
-        stats.flat_blob_bytes
-    );
-}
-
-#[test]
-fn flat_codec_runs_report_zero_copy_bytes_per_iteration() {
-    // Under PlanCodec::Flat the engines execute straight over the wire
-    // blob, so every iteration's flat_blob_bytes must equal the blob it
-    // fetched — nonzero, and reconciling exactly with blob_bytes.
-    let planner = planner();
-    let dataset = Dataset::flanv2(211, 400);
-    let iterations = 3usize;
-    let run = RunConfig {
-        max_iterations: Some(iterations),
-        ..Default::default()
-    };
-    let (report, stats) = run_training_pipelined(
-        &planner,
-        &dataset,
-        gbs(),
-        run,
-        RuntimeConfig {
-            plan_ahead: 2,
-            workers: 2,
-            distribution: PlanDistribution::StoreBacked,
-            codec: PlanCodec::Flat,
-        },
-    );
-    assert!(report.feasible(), "fixture must run clean: {:?}", report.failure);
-    assert_eq!(stats.codec, PlanCodec::Flat);
-    assert_eq!(stats.flat_blob_bytes.len(), iterations);
-    assert_eq!(stats.blob_bytes.len(), iterations);
-    assert_eq!(
-        stats.flat_blob_bytes, stats.blob_bytes,
-        "every fetched flat blob is executed zero-copy, byte for byte"
-    );
-    assert!(
-        stats.flat_blob_bytes.iter().all(|&b| b > 0),
-        "flat blobs cannot be empty: {:?}",
-        stats.flat_blob_bytes
-    );
-    // The decode timings (validate-and-wrap plus the small plan-metadata
-    // section) are still measured per iteration under this label.
-    assert_eq!(stats.deserialize_us.len(), iterations);
-    assert!(stats.deserialize_us.iter().all(|&t| t >= 0.0));
 }

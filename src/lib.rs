@@ -75,9 +75,9 @@ pub mod prelude {
     };
     pub use dynapipe_comm::{verify_deadlock_free, ExecutionPlan, Instr};
     pub use dynapipe_core::{
-        run_training, run_training_pipelined, BaselineKind, BaselinePlanner, DynaPipePlanner,
-        InstructionStore, IterationPlanner, PlanDistribution, PlannerConfig, RunConfig,
-        RunReport, RuntimeConfig, ScheduleKind, StoredPlan,
+        run_training, run_training_pipelined_traced, BaselineKind, BaselinePlanner,
+        DynaPipePlanner, InstructionStore, IterationPlanner, PlannerConfig, RunConfig, RunReport,
+        RuntimeConfig, ScheduleKind, StoredPlan,
     };
     pub use dynapipe_cost::{iteration_time, CostModel, ProfileOptions};
     pub use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};

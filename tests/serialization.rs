@@ -1,6 +1,6 @@
 //! Serialization round-trips: execution plans travel through the
 //! distributed instruction store in the real system (§3) — and, since
-//! the store-backed runtime, in this reproduction too — so every plan
+//! the cluster runtime, in this reproduction too — so every plan
 //! artifact must survive serde exactly. The property tests below pin the
 //! full [`dynapipe_core::StoredPlan`] wire format bitwise **under all
 //! three codecs** ([`PlanCodec::Json`], the length-prefixed

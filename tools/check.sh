@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: build + static analysis + tests (at the default thread
-# count and at one thread) + the bench smoke sweep, warnings fatal. This
-# is the tier-1 verify line plus -Dwarnings; CI and pre-push hooks should
-# run exactly this script.
+# count and at one thread) + the benchmark build + the bench smoke sweep,
+# warnings fatal. This is the tier-1 verify line plus -Dwarnings; CI and
+# pre-push hooks should run exactly this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,12 @@ RAYON_NUM_THREADS=1 cargo test -q --workspace
 
 # run_all launches sibling binaries from target/release, so build them
 # explicitly: a missing bench build must fail here, not skip the gate.
+# The repo benchmark is a separate crate that drives the program through
+# its public API (perfbench/src/adapter.rs); building it here makes an
+# API change that breaks the benchmark fail this gate.
+echo "== perfbench build =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench bins + run_all --smoke =="
 cargo build --release -p dynapipe-bench --bins
 cargo run --release -p dynapipe-bench --bin run_all -- --smoke
