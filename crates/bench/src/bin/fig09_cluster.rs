@@ -1,85 +1,80 @@
 //! Fig. 9 deployed: the cluster runtime on simulated multi-host
-//! topologies, with the wire codec A/B.
+//! topologies, with plans crossing the wire as Flat blobs.
 //!
 //! Runs the fig17 workload (65k-token mini-batches, 8 GPUs) at dp=2 —
 //! GPT 6.7B (dp2·pp4) and T5 11B (dp2·tp4) — through the serial driver
-//! and a topology × codec matrix of
+//! and a topology matrix of
 //! [`dynapipe_cluster::run_training_cluster_traced`]:
 //!
 //! * `1p×1w→1e` over free local links — the degenerate single-host
 //!   deployment, the control arm;
 //! * `2p×1w→2e` and `2p×2w→2e` over the a100 inter-node link — planner
 //!   pool on separate hosts, replicas split across executor hosts, every
-//!   plan blob paying α-β wire cost into and out of the store;
+//!   plan blob paying α-β wire cost into and out of the store.
 //!
-//! each with all three [`PlanCodec`]s, so the artifact shows what the
-//! binary codec buys on a real multi-host wire — and what the zero-copy
-//! flat codec buys on top of it (executors run engines straight over
-//! the downlink bytes; decode is validate-and-wrap).
+//! Executors run engines straight over the downlink bytes; decode is
+//! validate-and-wrap.
 //!
-//! A **churn arm** (PR 6) then replays the `2p×1w→2e` deployment per
-//! codec under a scripted worst-of-every-class [`ChurnScript`] — a
-//! straggler, a planner crash, a planner join, and an executor-host
-//! loss — with a re-issue deadline armed, and reports the recovery
-//! counters ([`dynapipe_cluster::ChurnStats`]) plus `churn_overhead_us`
-//! against the undisturbed arm of the same topology and codec. Events
-//! are keyed at `min(k, iters-1)` so a capped 1-iteration smoke run
-//! still fires every one of them.
+//! A **churn arm** (PR 6) then replays the `2p×1w→2e` deployment under
+//! a scripted worst-of-every-class [`ChurnScript`] — a straggler, a
+//! planner crash, a planner join, and an executor-host loss — with a
+//! re-issue deadline armed, and reports the recovery counters
+//! ([`dynapipe_cluster::ChurnStats`]) plus `churn_overhead_us` against
+//! the undisturbed arm of the same topology. Events are keyed at
+//! `min(k, iters-1)` so a capped 1-iteration smoke run still fires every
+//! one of them.
 //!
 //! A **datacenter arm** (PR 9) then sweeps executor-host counts up to
 //! O(100) — GPT 3.35B at `dp = host count`, pp=2 — over a
 //! rack-structured [`Fabric`] (racks of 8, 4× oversubscribed cross-rack
-//! bandwidth), crossing both [`StorePlacement`]s with every codec, plus
-//! a churned cell per placement that loses a store-shard owner mid-run
-//! (host 0 itself under the sharded placement — only the single
-//! placement protects the store host). The sweep is the existence proof
-//! for sharding: under the single placement the store host's links
-//! concentrate the entire plan stream; sharding must spread it.
+//! bandwidth), under both [`StorePlacement`]s, plus a churned cell per
+//! placement that loses a store-shard owner mid-run (host 0 itself under
+//! the sharded placement — only the single placement protects the store
+//! host). The sweep is the existence proof for sharding: under the
+//! single placement the store host's links concentrate the entire plan
+//! stream; sharding must spread it.
 //!
 //! Emits `BENCH_cluster.json` with per-topology cluster walls, overlap
-//! ratios, per-host breakdowns, per-codec bytes / decode time, the
-//! churn arms, and the datacenter sweep, and **exits nonzero** if
+//! ratios, per-host breakdowns, the Flat wire microbenchmark, the churn
+//! arms, and the datacenter sweep, and **exits nonzero** if
 //!
 //! 1. any topology's `RunReport` diverges from the serial driver
 //!    (`behavior_eq` — the golden invariant), **including the churned
 //!    arms**, or
-//! 2. the binary codec's mean blob exceeds **half** the JSON blob, or
-//! 3. the binary codec does not decode faster than JSON on a
-//!    **controlled microbenchmark** (one real lowered plan blob per
-//!    model, decoded repeatedly on an otherwise idle process — the
-//!    in-run decode walls are also reported, but on a contended 1-CPU
-//!    container they measure the scheduler, not the codec), or
-//! 4. recovery cost is unbounded: a churned arm's wall exceeds
+//! 2. recovery cost is unbounded: a churned arm's wall exceeds
 //!    `3 × undisturbed + 5 s` (the slack covers the injected straggle
 //!    sleep and scheduler noise on a small container), or
-//! 5. the flat codec stops being zero-copy: its controlled decode
-//!    (validate-and-wrap, `FlatPlanRef::new`) must stay under **0.2×**
-//!    the binary codec's tree rebuild, and its fixed-width arena must
-//!    stay within **1.25×** the binary blob bytes, or
-//! 6. any datacenter cell — every host count × codec × placement ×
-//!    fabric combination, churned cells included — diverges from its
-//!    serial oracle, or
-//! 7. sharding stops spreading the plan stream: at the **largest**
+//! 3. the Flat wire format leaves its absolute bounds on a **controlled
+//!    microbenchmark** (one real lowered plan blob per model, validated
+//!    repeatedly on an otherwise idle process — the in-run decode walls
+//!    are also reported, but on a contended container they measure the
+//!    scheduler, not the format): bytes per instruction record at most
+//!    **1.25×**, and validate-and-wrap per blob under **0.2×**, what the
+//!    retired Binary wire codec measured on the same blob
+//!    ([`BINARY_REFERENCE`]), or
+//! 4. any datacenter cell — every host count × placement, churned cells
+//!    included — diverges from its serial oracle, or
+//! 5. sharding stops spreading the plan stream: at the **largest**
 //!    topology, the sharded store's busiest single link must carry
 //!    **strictly fewer** bytes than the single store host serves over
 //!    its downlink (`Σ bytes_fetched` across the other executor hosts).
 
-use dynapipe_bench::{write_json, write_root_artifact, BenchOpts};
+use dynapipe_bench::{
+    flat_wire_bench, flat_wire_gate, write_json, write_root_artifact, BenchOpts,
+    BinaryReference, FlatWireBench, FLAT_BENCH_REPS,
+};
 use dynapipe_cluster::{
     run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig,
     ClusterReport, StorePlacement,
 };
-use dynapipe_core::{
-    compile_replica, run_training, DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig,
-    StoredLowered, StoredOutcome, StoredPlan,
-};
+use dynapipe_core::{run_training, DynaPipePlanner, PlannerConfig, RunConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter};
+use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use dynapipe_sim::Fabric;
 use dynapipe_trace::{chrome::to_chrome_trace, sim_eq, Trace, TraceSink};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Arm {
     stats: ClusterReport,
@@ -93,109 +88,46 @@ struct ChurnArm {
     churn_overhead_us: f64,
 }
 
-/// Controlled per-model codec measurement: one real lowered plan blob,
-/// decoded `DECODE_REPS` times per codec with nothing else running.
-/// "Decode" for the tree codecs is `StoredPlan::decode` (a full owned
-/// tree rebuild); for Flat it is `FlatPlanRef::new` — header/record
-/// validation plus wrapping the `Arc<[u8]>`, after which engines run
-/// straight over the wire bytes. That asymmetry is the point of the
-/// comparison: it is exactly what the cluster prefetcher pays per blob.
-struct CodecBench {
-    json_bytes: usize,
-    binary_bytes: usize,
-    flat_bytes: usize,
-    json_decode_us: f64,
-    binary_decode_us: f64,
-    flat_decode_us: f64,
-}
-
-const DECODE_REPS: usize = 5;
-
-fn codec_microbench(
-    planner: &DynaPipePlanner,
-    dataset: &Dataset,
-    gbs: GlobalBatchConfig,
-) -> CodecBench {
-    let minibatch = GlobalBatchIter::new(dataset, gbs)
-        .next()
-        .expect("workload has at least one mini-batch");
-    let plan = planner
-        .plan_iteration(&minibatch)
-        .expect("fig09 workload plans cleanly");
-    let programs = plan
-        .replicas
-        .iter()
-        .map(|r| compile_replica(&planner.cm, &r.plan))
-        .collect();
-    let stored = StoredPlan {
-        iteration: 0,
-        outcome: StoredOutcome::Plan(StoredLowered { plan, programs }),
-    };
-    // Min of several timed passes: a single scheduler preemption inside
-    // one pass must not flip the codec comparison (and fail CI) on a
-    // busy container.
-    let time_decode = |codec: PlanCodec| -> (usize, f64) {
-        let blob = stored.encode(codec);
-        let mut best = f64::INFINITY;
-        for _pass in 0..3 {
-            let t = Instant::now();
-            for _ in 0..DECODE_REPS {
-                let back = StoredPlan::decode(codec, &blob).expect("own blob decodes");
-                std::hint::black_box(&back);
-            }
-            best = best.min(t.elapsed().as_secs_f64() * 1e6);
-        }
-        (blob.len(), best)
-    };
-    let (json_bytes, json_decode_us) = time_decode(PlanCodec::Json);
-    let (binary_bytes, binary_decode_us) = time_decode(PlanCodec::Binary);
-    // Flat decode = validate + wrap the shared bytes (no tree build):
-    // the blob is materialized once outside the timed region, and each
-    // rep pays only the `FlatPlanRef::new` validation pass over a cheap
-    // `Arc` clone — the same cost the prefetcher pays per fetched blob.
-    let flat_blob: Arc<[u8]> = Arc::from(stored.encode(PlanCodec::Flat).into_boxed_slice());
-    let flat_bytes = flat_blob.len();
-    let mut flat_decode_us = f64::INFINITY;
-    for _pass in 0..3 {
-        let t = Instant::now();
-        for _ in 0..DECODE_REPS {
-            let view = dynapipe_core::FlatPlanRef::new(flat_blob.clone())
-                .expect("own flat blob validates");
-            std::hint::black_box(&view);
-        }
-        flat_decode_us = flat_decode_us.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    CodecBench {
-        json_bytes,
-        binary_bytes,
-        flat_bytes,
-        json_decode_us,
-        binary_decode_us,
-        flat_decode_us,
-    }
-}
+/// What the retired Binary wire codec measured on each model's
+/// [`flat_wire_bench`] blob: bytes per instruction record (exact), and
+/// its `StoredPlan::decode` tree rebuild per blob (best of three runs of
+/// three passes × 5 reps). Measured at commit 785e38b on a 2-vCPU
+/// "Intel(R) Xeon(R) Processor" VM. The Flat gates compare against these
+/// constants, so they keep the strength of the flat-vs-binary gates they
+/// replace.
+const BINARY_REFERENCE: [BinaryReference; 2] = [
+    BinaryReference {
+        model: "GPT",
+        bytes_per_record: 65.7227,
+        decode_us_per_blob: 2267.1,
+    },
+    BinaryReference {
+        model: "T5",
+        bytes_per_record: 109.9348,
+        decode_us_per_blob: 151.0,
+    },
+];
 
 struct ModelOutcome {
     name: &'static str,
     iterations: usize,
     serial_wall_us: f64,
     arms: Vec<Arm>,
-    churn_arms: Vec<ChurnArm>,
-    codec_bench: CodecBench,
+    churn_arm: ChurnArm,
+    flat_bench: FlatWireBench,
 }
 
 /// The churn arm's deployment: the `2p×1w→2e` matrix topology with one
 /// scripted event of every class and a re-issue deadline armed. Events
 /// are keyed at `min(k, iters-1)` so a capped 1-iteration smoke run
 /// (`run_all --smoke`) still fires all of them at iteration 0.
-fn churn_topology(iters: usize, codec: PlanCodec) -> ClusterConfig {
+fn churn_topology(iters: usize) -> ClusterConfig {
     let at = |k: usize| k.min(iters.saturating_sub(1));
     ClusterConfig {
         planner_hosts: 2,
         workers_per_host: 1,
         executor_hosts: 2,
         plan_ahead: 4,
-        codec,
         churn: ChurnScript::new()
             .at(
                 at(1),
@@ -213,35 +145,30 @@ fn churn_topology(iters: usize, codec: PlanCodec) -> ClusterConfig {
 }
 
 fn topologies() -> Vec<ClusterConfig> {
-    let mut out = Vec::new();
-    for codec in PlanCodec::ALL {
-        out.push(ClusterConfig {
+    vec![
+        ClusterConfig {
             planner_hosts: 1,
             workers_per_host: 1,
             executor_hosts: 1,
             plan_ahead: 4,
-            codec,
             fabric: Fabric::free(),
             ..Default::default()
-        });
-        out.push(ClusterConfig {
+        },
+        ClusterConfig {
             planner_hosts: 2,
             workers_per_host: 1,
             executor_hosts: 2,
             plan_ahead: 4,
-            codec,
             ..Default::default()
-        });
-        out.push(ClusterConfig {
+        },
+        ClusterConfig {
             planner_hosts: 2,
             workers_per_host: 2,
             executor_hosts: 2,
             plan_ahead: 4,
-            codec,
             ..Default::default()
-        });
-    }
-    out
+        },
+    ]
 }
 
 fn run_model(
@@ -289,46 +216,35 @@ fn run_model(
             }
         })
         .collect();
-    let churn_arms = PlanCodec::ALL
-        .into_iter()
-        .map(|codec| {
-            let cluster = churn_topology(iters, codec);
-            let label = cluster.label();
-            let (report, stats) = run_training_cluster_traced(
-                &planner,
-                dataset,
-                gbs,
-                run,
-                cluster,
-                &TraceSink::disabled(),
-            );
-            // The undisturbed baseline is the matrix arm with the same
-            // topology and codec, measured moments earlier in this run.
-            let undisturbed_wall_us = arms
-                .iter()
-                .find(|a| a.stats.topology == label && a.stats.codec == stats.codec)
-                .map(|a| a.stats.cluster_wall_us)
-                .unwrap_or(serial_wall_us);
-            ChurnArm {
-                divergence: serial.behavior_eq(&report).err(),
-                churn_overhead_us: stats.cluster_wall_us - undisturbed_wall_us,
-                undisturbed_wall_us,
-                stats,
-            }
-        })
-        .collect();
-    let codec_bench = codec_microbench(&planner, dataset, gbs);
+    let cluster = churn_topology(iters);
+    let label = cluster.label();
+    let (report, stats) =
+        run_training_cluster_traced(&planner, dataset, gbs, run, cluster, &TraceSink::disabled());
+    // The undisturbed baseline is the matrix arm with the same topology,
+    // measured moments earlier in this run.
+    let undisturbed_wall_us = arms
+        .iter()
+        .find(|a| a.stats.topology == label)
+        .map(|a| a.stats.cluster_wall_us)
+        .unwrap_or(serial_wall_us);
+    let churn_arm = ChurnArm {
+        divergence: serial.behavior_eq(&report).err(),
+        churn_overhead_us: stats.cluster_wall_us - undisturbed_wall_us,
+        undisturbed_wall_us,
+        stats,
+    };
+    let flat_bench = flat_wire_bench(&planner);
     ModelOutcome {
         name,
         iterations: serial.records.len(),
         serial_wall_us,
         arms,
-        churn_arms,
-        codec_bench,
+        churn_arm,
+        flat_bench,
     }
 }
 
-/// One cell of the datacenter sweep: a placement × codec deployment at
+/// One cell of the datacenter sweep: one placement's deployment at
 /// one executor-host count over the rack-structured fabric, optionally
 /// with a scripted shard-owner loss.
 struct DatacenterCell {
@@ -392,31 +308,28 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
                 ClusterConfig::datacenter_fabric(&hw, DC_HOSTS_PER_RACK, DC_OVERSUBSCRIPTION);
             let mut cells = Vec::new();
             for placement in [StorePlacement::Single, StorePlacement::Sharded] {
-                for codec in PlanCodec::ALL {
-                    let cfg = ClusterConfig {
-                        planner_hosts: 2,
-                        workers_per_host: 1,
-                        executor_hosts: hosts,
-                        plan_ahead: 4,
-                        codec,
-                        placement,
-                        fabric: fabric.clone(),
-                        ..Default::default()
-                    };
-                    let (report, stats) = run_training_cluster_traced(
-                        &planner,
-                        dataset,
-                        gbs,
-                        run,
-                        cfg,
-                        &TraceSink::disabled(),
-                    );
-                    cells.push(DatacenterCell {
-                        divergence: serial.behavior_eq(&report).err(),
-                        stats,
-                        churned: false,
-                    });
-                }
+                let cfg = ClusterConfig {
+                    planner_hosts: 2,
+                    workers_per_host: 1,
+                    executor_hosts: hosts,
+                    plan_ahead: 4,
+                    placement,
+                    fabric: fabric.clone(),
+                    ..Default::default()
+                };
+                let (report, stats) = run_training_cluster_traced(
+                    &planner,
+                    dataset,
+                    gbs,
+                    run,
+                    cfg,
+                    &TraceSink::disabled(),
+                );
+                cells.push(DatacenterCell {
+                    divergence: serial.behavior_eq(&report).err(),
+                    stats,
+                    churned: false,
+                });
                 // The churned cell loses a store-shard owner mid-run —
                 // host 0 itself under the sharded placement (only the
                 // single placement protects the store host; host 1
@@ -432,7 +345,6 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
                     workers_per_host: 1,
                     executor_hosts: hosts,
                     plan_ahead: 4,
-                    codec: PlanCodec::Binary,
                     placement,
                     fabric: fabric.clone(),
                     churn: ChurnScript::new().at(
@@ -478,7 +390,7 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
 const DC_HOST_JSON_CAP: usize = 8;
 
 /// One datacenter cell as artifact JSON: every gated quantity in full
-/// (placement, codec, churn flag, wall, busiest link, fetched-byte
+/// (placement, churn flag, wall, busiest link, fetched-byte
 /// total, divergence), per-cell rollups, and per-host arrays capped at
 /// [`DC_HOST_JSON_CAP`] entries with an explicit `omitted` count.
 fn datacenter_cell_json(c: &DatacenterCell) -> serde_json::Value {
@@ -503,7 +415,6 @@ fn datacenter_cell_json(c: &DatacenterCell) -> serde_json::Value {
     serde_json::Value::Object(vec![
         ("topology".to_string(), serde_json::json!(s.topology)),
         ("placement".to_string(), serde_json::json!(s.placement)),
-        ("codec".to_string(), serde_json::json!(s.codec)),
         ("fabric".to_string(), serde_json::json!(s.fabric)),
         ("churned".to_string(), serde_json::json!(c.churned)),
         ("iterations".to_string(), serde_json::json!(s.iterations)),
@@ -522,10 +433,6 @@ fn datacenter_cell_json(c: &DatacenterCell) -> serde_json::Value {
             serde_json::json!(s.overlap_ratio),
         ),
         ("wire_bytes".to_string(), serde_json::json!(s.wire_bytes)),
-        (
-            "flat_wire_bytes".to_string(),
-            serde_json::json!(s.flat_wire_bytes),
-        ),
         (
             "max_link_bytes".to_string(),
             serde_json::json!(s.max_link_bytes),
@@ -577,14 +484,14 @@ const TRACE_CAP: usize = 65536;
 
 /// The **trace arm** (PR 10): the unified span recorder on a small
 /// sharded deployment, held to the determinism contract. Every cell —
-/// codec × placement, a churned cell per placement, and a rerun of the
+/// each placement, a churned cell per placement, and a rerun of the
 /// first cell — must (a) stay behavior-identical to the serial oracle,
 /// (b) produce a structurally valid trace whose payload totals
 /// reconcile **exactly** against the run's own counters
 /// (`Trace::reconcile`: byte sums, span counts, bitwise exposed-µs
 /// ledgers), and (c) produce the **bit-identical Sim-domain span
 /// sequence** as every other cell (`sim_eq`) — the simulated timeline
-/// is behavior, not stats, so codec, placement, churn and rerun must
+/// is behavior, not stats, so placement, churn and rerun must
 /// not move it. The richest cell (sharded + shard-owner loss) is
 /// exported to `results/TRACE_cluster.json` plus a Chrome trace-event
 /// rendering; `run_all --smoke` round-trips the export through
@@ -612,12 +519,11 @@ fn run_trace_arm(dataset: &Dataset, opts: &BenchOpts) -> (Vec<String>, Option<Tr
     };
     let serial = run_training(&planner, dataset, gbs, run);
 
-    let base = |codec: PlanCodec, placement: StorePlacement| ClusterConfig {
+    let base = |placement: StorePlacement| ClusterConfig {
         planner_hosts: 2,
         workers_per_host: 1,
         executor_hosts: hosts,
         plan_ahead: 4,
-        codec,
         placement,
         ..Default::default()
     };
@@ -627,9 +533,7 @@ fn run_trace_arm(dataset: &Dataset, opts: &BenchOpts) -> (Vec<String>, Option<Tr
             StorePlacement::Single => "single",
             StorePlacement::Sharded => "sharded",
         };
-        for codec in PlanCodec::ALL {
-            cells.push((format!("{pl}/{}", codec.label()), base(codec, placement)));
-        }
+        cells.push((pl.to_string(), base(placement)));
         // The churned cell loses a store owner mid-run (host 0 itself
         // under the sharded placement), so the export carries churn,
         // re-placement and restore-hop spans.
@@ -637,17 +541,17 @@ fn run_trace_arm(dataset: &Dataset, opts: &BenchOpts) -> (Vec<String>, Option<Tr
             StorePlacement::Sharded => 0,
             StorePlacement::Single => 1,
         };
-        let mut cfg = base(PlanCodec::Binary, placement);
+        let mut cfg = base(placement);
         cfg.churn = ChurnScript::new().at(
             1usize.min(iters.saturating_sub(1)),
             ChurnEvent::ExecutorLoss { host: lost },
         );
-        cells.push((format!("{pl}/binary+loss"), cfg));
+        cells.push((format!("{pl}+loss"), cfg));
     }
     // Rerun of the first cell: bit-identity across reruns, not just
     // across configurations.
     let rerun = cells[0].1.clone();
-    cells.push(("rerun/single/json".to_string(), rerun));
+    cells.push(("rerun/single".to_string(), rerun));
 
     let mut failures = Vec::new();
     let mut pinned: Option<Trace> = None;
@@ -693,11 +597,21 @@ fn run_trace_arm(dataset: &Dataset, opts: &BenchOpts) -> (Vec<String>, Option<Tr
         if pinned.is_none() {
             pinned = Some(trace.clone());
         }
-        if label == "sharded/binary+loss" {
+        if label == "sharded+loss" {
             export = Some(trace);
         }
     }
     (failures, export)
+}
+
+/// A cluster report as artifact JSON, with extra fields appended.
+fn report_json(stats: &ClusterReport, extra: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
+    let mut v = match serde_json::to_value(stats) {
+        serde_json::Value::Object(m) => m,
+        _ => unreachable!("reports are objects"),
+    };
+    v.extend(extra.into_iter().map(|(k, x)| (k.to_string(), x)));
+    serde_json::Value::Object(v)
 }
 
 fn main() {
@@ -710,8 +624,8 @@ fn main() {
         rayon::current_num_threads()
     );
     println!(
-        "{:>5} {:>9} {:>7} | {:>12} {:>12} {:>8} | {:>9} {:>10} {:>9}",
-        "model", "topology", "codec", "serial (ms)", "cluster (ms)", "overlap",
+        "{:>5} {:>9} | {:>12} {:>12} {:>8} | {:>9} {:>10} {:>9}",
+        "model", "topology", "serial (ms)", "cluster (ms)", "overlap",
         "blob (KB)", "wire (KB)", "dec (ms)"
     );
 
@@ -724,10 +638,9 @@ fn main() {
         for arm in &o.arms {
             let s = &arm.stats;
             println!(
-                "{:>5} {:>9} {:>7} | {:>12.1} {:>12.1} {:>7.1}% | {:>9.1} {:>10.1} {:>9.2}",
+                "{:>5} {:>9} | {:>12.1} {:>12.1} {:>7.1}% | {:>9.1} {:>10.1} {:>9.2}",
                 o.name,
                 s.topology,
-                s.codec,
                 o.serial_wall_us / 1e3,
                 s.cluster_wall_us / 1e3,
                 s.overlap_ratio * 100.0,
@@ -736,22 +649,20 @@ fn main() {
                 s.decode_us / 1e3,
             );
         }
-        for c in &o.churn_arms {
-            let ch = &c.stats.churn;
-            println!(
-                "{:>5} {:>9} {:>7} | churn +{:.1} ms: {} applied, {} reissued, \
-                 {} stale, {} moved, {} dup blobs",
-                o.name,
-                c.stats.topology,
-                c.stats.codec,
-                c.churn_overhead_us.max(0.0) / 1e3,
-                ch.events_applied,
-                ch.tickets_reissued,
-                ch.stale_completions,
-                ch.replicas_moved,
-                ch.duplicate_blobs_discarded,
-            );
-        }
+        let c = &o.churn_arm;
+        let ch = &c.stats.churn;
+        println!(
+            "{:>5} {:>9} | churn +{:.1} ms: {} applied, {} reissued, \
+             {} stale, {} moved, {} dup blobs",
+            o.name,
+            c.stats.topology,
+            c.churn_overhead_us.max(0.0) / 1e3,
+            ch.events_applied,
+            ch.tickets_reissued,
+            ch.stale_completions,
+            ch.replicas_moved,
+            ch.duplicate_blobs_discarded,
+        );
         outcomes.push(o);
     }
 
@@ -760,18 +671,17 @@ fn main() {
          {DC_HOSTS_PER_RACK}, {DC_OVERSUBSCRIPTION}x oversubscribed cross-rack"
     );
     println!(
-        "  {:>5} {:>8} {:>7} {:>6} | {:>12} {:>13} {:>13}",
-        "hosts", "store", "codec", "churn", "cluster (ms)", "max link (KB)", "fetched (KB)"
+        "  {:>5} {:>8} {:>6} | {:>12} {:>13} {:>13}",
+        "hosts", "store", "churn", "cluster (ms)", "max link (KB)", "fetched (KB)"
     );
     let datacenter = run_datacenter(&dataset, &opts);
     for p in &datacenter {
         for c in &p.cells {
             let fetched: u64 = c.stats.executor_hosts.iter().map(|h| h.bytes_fetched).sum();
             println!(
-                "  {:>5} {:>8} {:>7} {:>6} | {:>12.1} {:>13.1} {:>13.1}",
+                "  {:>5} {:>8} {:>6} | {:>12.1} {:>13.1} {:>13.1}",
                 p.hosts,
                 c.stats.placement,
-                c.stats.codec,
                 if c.churned { "loss" } else { "-" },
                 c.stats.cluster_wall_us / 1e3,
                 c.stats.max_link_bytes as f64 / 1e3,
@@ -793,42 +703,40 @@ fn main() {
         }
     }
 
-    // Codec A/B: blob bytes are exact and deterministic (sum over the
-    // in-run arms); decode time comes from the controlled per-model
+    // Flat wire format: in-run blob bytes are exact (Σ over the arms);
+    // the gated quantities come from the controlled per-model
     // microbenchmark — the in-run decode walls compete with the planner
     // pool for CPU and measure the scheduler on a small container.
-    let codec_total = |codec: &str, f: &dyn Fn(&ClusterReport) -> f64| -> f64 {
-        outcomes
-            .iter()
-            .flat_map(|o| o.arms.iter())
-            .filter(|a| a.stats.codec == codec)
-            .map(|a| f(&a.stats))
-            .sum()
-    };
-    let json_blob_bytes = codec_total("json", &|s| s.mean_blob_bytes);
-    let binary_blob_bytes = codec_total("binary", &|s| s.mean_blob_bytes);
-    let flat_blob_bytes = codec_total("flat", &|s| s.mean_blob_bytes);
-    let json_decode_us: f64 = outcomes.iter().map(|o| o.codec_bench.json_decode_us).sum();
-    let binary_decode_us: f64 = outcomes
+    let flat_blob_bytes: f64 = outcomes
         .iter()
-        .map(|o| o.codec_bench.binary_decode_us)
+        .flat_map(|o| o.arms.iter())
+        .map(|a| a.stats.mean_blob_bytes)
         .sum();
-    let flat_decode_us: f64 = outcomes.iter().map(|o| o.codec_bench.flat_decode_us).sum();
-    println!(
-        "\n  codec A/B/C: binary blobs at {:.1}% of JSON bytes, flat at {:.1}% of binary; \
-         decode ({DECODE_REPS}x, controlled) json {:.2} ms, binary {:.2} ms, \
-         flat {:.4} ms (validate-and-wrap, no tree build)",
-        100.0 * binary_blob_bytes / json_blob_bytes.max(1.0),
-        100.0 * flat_blob_bytes / binary_blob_bytes.max(1.0),
-        json_decode_us / 1e3,
-        binary_decode_us / 1e3,
-        flat_decode_us / 1e3,
-    );
+    let mut wire_failures = Vec::new();
+    println!();
+    for (o, reference) in outcomes.iter().zip(&BINARY_REFERENCE) {
+        assert_eq!(o.name, reference.model, "reference order follows the model order");
+        let b = &o.flat_bench;
+        println!(
+            "  flat wire {}: {} B / {} records = {:.2} B per record (binary reference {:.2}); \
+             validate-and-wrap {:.2} µs per blob (binary tree rebuild {:.1} µs)",
+            o.name,
+            b.bytes,
+            b.records,
+            b.bytes_per_record(),
+            reference.bytes_per_record,
+            b.validate_us_per_blob,
+            reference.decode_us_per_blob,
+        );
+        wire_failures.extend(flat_wire_gate(b, reference));
+    }
 
     let per_model = serde_json::Value::Object(
         outcomes
             .iter()
-            .map(|o| {
+            .zip(&BINARY_REFERENCE)
+            .map(|(o, reference)| {
+                let c = &o.churn_arm;
                 (
                     o.name.to_string(),
                     serde_json::Value::Object(vec![
@@ -838,34 +746,16 @@ fn main() {
                             serde_json::json!(o.serial_wall_us),
                         ),
                         (
-                            "codec_bench".to_string(),
-                            serde_json::Value::Object(vec![
-                                (
-                                    "json_bytes".to_string(),
-                                    serde_json::json!(o.codec_bench.json_bytes),
-                                ),
-                                (
-                                    "binary_bytes".to_string(),
-                                    serde_json::json!(o.codec_bench.binary_bytes),
-                                ),
-                                (
-                                    "flat_bytes".to_string(),
-                                    serde_json::json!(o.codec_bench.flat_bytes),
-                                ),
-                                (
-                                    "json_decode_us".to_string(),
-                                    serde_json::json!(o.codec_bench.json_decode_us),
-                                ),
-                                (
-                                    "binary_decode_us".to_string(),
-                                    serde_json::json!(o.codec_bench.binary_decode_us),
-                                ),
-                                (
-                                    "flat_decode_us".to_string(),
-                                    serde_json::json!(o.codec_bench.flat_decode_us),
-                                ),
-                                ("decode_reps".to_string(), serde_json::json!(DECODE_REPS)),
-                            ]),
+                            "flat_bench".to_string(),
+                            serde_json::json!({
+                                "bytes": o.flat_bench.bytes,
+                                "records": o.flat_bench.records,
+                                "bytes_per_record": o.flat_bench.bytes_per_record(),
+                                "validate_us_per_blob": o.flat_bench.validate_us_per_blob,
+                                "reps": FLAT_BENCH_REPS,
+                                "binary_reference_bytes_per_record": reference.bytes_per_record,
+                                "binary_reference_decode_us_per_blob": reference.decode_us_per_blob,
+                            }),
                         ),
                         (
                             "arms".to_string(),
@@ -873,50 +763,41 @@ fn main() {
                                 o.arms
                                     .iter()
                                     .map(|a| {
-                                        let mut v = match serde_json::to_value(&a.stats) {
-                                            serde_json::Value::Object(m) => m,
-                                            _ => unreachable!("reports are objects"),
-                                        };
-                                        v.push((
-                                            "report_divergence".to_string(),
-                                            serde_json::json!(a
-                                                .divergence
-                                                .clone()
-                                                .unwrap_or_default()),
-                                        ));
-                                        serde_json::Value::Object(v)
+                                        report_json(
+                                            &a.stats,
+                                            vec![(
+                                                "report_divergence",
+                                                serde_json::json!(a
+                                                    .divergence
+                                                    .clone()
+                                                    .unwrap_or_default()),
+                                            )],
+                                        )
                                     })
                                     .collect(),
                             ),
                         ),
                         (
-                            "churn_arms".to_string(),
-                            serde_json::Value::Array(
-                                o.churn_arms
-                                    .iter()
-                                    .map(|c| {
-                                        let mut v = match serde_json::to_value(&c.stats) {
-                                            serde_json::Value::Object(m) => m,
-                                            _ => unreachable!("reports are objects"),
-                                        };
-                                        v.push((
-                                            "undisturbed_wall_us".to_string(),
-                                            serde_json::json!(c.undisturbed_wall_us),
-                                        ));
-                                        v.push((
-                                            "churn_overhead_us".to_string(),
-                                            serde_json::json!(c.churn_overhead_us),
-                                        ));
-                                        v.push((
-                                            "report_divergence".to_string(),
-                                            serde_json::json!(c
-                                                .divergence
-                                                .clone()
-                                                .unwrap_or_default()),
-                                        ));
-                                        serde_json::Value::Object(v)
-                                    })
-                                    .collect(),
+                            "churn_arm".to_string(),
+                            report_json(
+                                &c.stats,
+                                vec![
+                                    (
+                                        "undisturbed_wall_us",
+                                        serde_json::json!(c.undisturbed_wall_us),
+                                    ),
+                                    (
+                                        "churn_overhead_us",
+                                        serde_json::json!(c.churn_overhead_us),
+                                    ),
+                                    (
+                                        "report_divergence",
+                                        serde_json::json!(c
+                                            .divergence
+                                            .clone()
+                                            .unwrap_or_default()),
+                                    ),
+                                ],
                             ),
                         ),
                     ]),
@@ -926,46 +807,13 @@ fn main() {
     );
     let churn_overhead_us: f64 = outcomes
         .iter()
-        .flat_map(|o| o.churn_arms.iter())
-        .map(|c| c.churn_overhead_us.max(0.0))
+        .map(|o| o.churn_arm.churn_overhead_us.max(0.0))
         .sum();
     let out = serde_json::Value::Object(vec![
         ("iterations".to_string(), serde_json::json!(iters)),
         (
-            "json_blob_bytes".to_string(),
-            serde_json::json!(json_blob_bytes),
-        ),
-        (
-            "binary_blob_bytes".to_string(),
-            serde_json::json!(binary_blob_bytes),
-        ),
-        (
             "flat_blob_bytes".to_string(),
             serde_json::json!(flat_blob_bytes),
-        ),
-        (
-            "binary_to_json_bytes_ratio".to_string(),
-            serde_json::json!(binary_blob_bytes / json_blob_bytes.max(1.0)),
-        ),
-        (
-            "flat_to_binary_bytes_ratio".to_string(),
-            serde_json::json!(flat_blob_bytes / binary_blob_bytes.max(1.0)),
-        ),
-        (
-            "json_decode_us".to_string(),
-            serde_json::json!(json_decode_us),
-        ),
-        (
-            "binary_decode_us".to_string(),
-            serde_json::json!(binary_decode_us),
-        ),
-        (
-            "flat_decode_us".to_string(),
-            serde_json::json!(flat_decode_us),
-        ),
-        (
-            "flat_to_binary_decode_ratio".to_string(),
-            serde_json::json!(flat_decode_us / binary_decode_us.max(1e-9)),
         ),
         (
             "churn_overhead_us".to_string(),
@@ -1012,11 +860,11 @@ fn main() {
     write_root_artifact(&opts, "BENCH_cluster.json", &out);
     write_json("fig09_cluster", &out);
 
-    // Hard checks: the golden invariant (churned arms included), the
-    // codec acceptance bar, bounded recovery cost, and the trace arm's
+    // Hard checks: the golden invariant (churned arms included), bounded
+    // recovery cost, the absolute Flat wire gates, and the trace arm's
     // determinism + reconciliation contract.
     let mut failed = false;
-    for f in &trace_failures {
+    for f in trace_failures.iter().chain(&wire_failures) {
         eprintln!("error: {f}");
         failed = true;
     }
@@ -1028,63 +876,29 @@ fn main() {
         for a in &o.arms {
             if let Some(d) = &a.divergence {
                 eprintln!(
-                    "error: {} {}/{} diverged from serial: {d}",
-                    o.name, a.stats.topology, a.stats.codec
+                    "error: {} {} diverged from serial: {d}",
+                    o.name, a.stats.topology
                 );
                 failed = true;
             }
         }
-        for c in &o.churn_arms {
-            if let Some(d) = &c.divergence {
-                eprintln!(
-                    "error: {} churned {}/{} diverged from serial: {d}",
-                    o.name, c.stats.topology, c.stats.codec
-                );
-                failed = true;
-            }
-            let bound = c.undisturbed_wall_us * 3.0 + 5e6;
-            if c.stats.cluster_wall_us > bound {
-                eprintln!(
-                    "error: {} churned {}/{} recovery cost is unbounded: {:.0} µs wall \
-                     vs {:.0} µs allowed (3× undisturbed + 5 s)",
-                    o.name, c.stats.topology, c.stats.codec, c.stats.cluster_wall_us, bound
-                );
-                failed = true;
-            }
+        let c = &o.churn_arm;
+        if let Some(d) = &c.divergence {
+            eprintln!(
+                "error: {} churned {} diverged from serial: {d}",
+                o.name, c.stats.topology
+            );
+            failed = true;
         }
-    }
-    if binary_blob_bytes * 2.0 > json_blob_bytes {
-        eprintln!(
-            "error: binary blobs ({binary_blob_bytes} B mean total) exceed half the JSON \
-             blobs ({json_blob_bytes} B) — the binary codec stopped earning its keep"
-        );
-        failed = true;
-    }
-    if binary_decode_us >= json_decode_us {
-        eprintln!(
-            "error: binary decode ({binary_decode_us} µs for {DECODE_REPS} reps) is not \
-             faster than JSON ({json_decode_us} µs) on the controlled microbenchmark"
-        );
-        failed = true;
-    }
-    // The zero-copy bar: flat "decode" is validate-and-wrap, so it must
-    // land well under the binary codec's tree rebuild — < 0.2× on the
-    // same controlled microbenchmark — and the fixed-width arena must
-    // not bloat the wire: ≤ 1.25× the binary blob.
-    if flat_decode_us >= 0.2 * binary_decode_us {
-        eprintln!(
-            "error: flat decode ({flat_decode_us} µs for {DECODE_REPS} reps) is not under \
-             0.2x binary decode ({binary_decode_us} µs) on the controlled microbenchmark \
-             — the zero-copy path stopped being zero-copy"
-        );
-        failed = true;
-    }
-    if flat_blob_bytes > 1.25 * binary_blob_bytes {
-        eprintln!(
-            "error: flat blobs ({flat_blob_bytes} B mean total) exceed 1.25x the binary \
-             blobs ({binary_blob_bytes} B) — the fixed-width arena is bloating the wire"
-        );
-        failed = true;
+        let bound = c.undisturbed_wall_us * 3.0 + 5e6;
+        if c.stats.cluster_wall_us > bound {
+            eprintln!(
+                "error: {} churned {} recovery cost is unbounded: {:.0} µs wall \
+                 vs {:.0} µs allowed (3× undisturbed + 5 s)",
+                o.name, c.stats.topology, c.stats.cluster_wall_us, bound
+            );
+            failed = true;
+        }
     }
     // Datacenter gates: the golden invariant over every cell (churned
     // included), and the fan-out bar at the largest topology.
@@ -1099,10 +913,9 @@ fn main() {
         for c in &p.cells {
             if let Some(d) = &c.divergence {
                 eprintln!(
-                    "error: datacenter {}h {}/{}{} diverged from serial: {d}",
+                    "error: datacenter {}h {}{} diverged from serial: {d}",
                     p.hosts,
                     c.stats.placement,
-                    c.stats.codec,
                     if c.churned { " (churned)" } else { "" }
                 );
                 failed = true;
@@ -1110,45 +923,38 @@ fn main() {
         }
     }
     if let Some(p) = datacenter.last() {
-        for codec in PlanCodec::ALL {
-            let cell = |placement: &str| {
-                p.cells.iter().find(|c| {
-                    !c.churned && c.stats.placement == placement && c.stats.codec == codec.label()
-                })
-            };
-            match (cell("single"), cell("sharded")) {
-                (Some(single), Some(sharded)) => {
-                    // The single store host's downlink: every byte the
-                    // other executor hosts fetch comes off host 0's NIC
-                    // (its own replicas read local copies, uncounted).
-                    let downlink: u64 = single
-                        .stats
-                        .executor_hosts
-                        .iter()
-                        .map(|h| h.bytes_fetched)
-                        .sum();
-                    if sharded.stats.max_link_bytes >= downlink {
-                        eprintln!(
-                            "error: datacenter {}h/{}: sharded busiest link carries \
-                             {} B, not strictly below the single store host's {} B \
-                             downlink — sharding stopped spreading the plan stream",
-                            p.hosts,
-                            codec.label(),
-                            sharded.stats.max_link_bytes,
-                            downlink
-                        );
-                        failed = true;
-                    }
-                }
-                _ => {
+        let cell = |placement: &str| {
+            p.cells
+                .iter()
+                .find(|c| !c.churned && c.stats.placement == placement)
+        };
+        match (cell("single"), cell("sharded")) {
+            (Some(single), Some(sharded)) => {
+                // The single store host's downlink: every byte the other
+                // executor hosts fetch comes off host 0's NIC (its own
+                // replicas read local copies, uncounted).
+                let downlink: u64 = single
+                    .stats
+                    .executor_hosts
+                    .iter()
+                    .map(|h| h.bytes_fetched)
+                    .sum();
+                if sharded.stats.max_link_bytes >= downlink {
                     eprintln!(
-                        "error: datacenter {}h/{}: missing a placement cell for the \
-                         fan-out gate",
-                        p.hosts,
-                        codec.label()
+                        "error: datacenter {}h: sharded busiest link carries {} B, not \
+                         strictly below the single store host's {} B downlink — sharding \
+                         stopped spreading the plan stream",
+                        p.hosts, sharded.stats.max_link_bytes, downlink
                     );
                     failed = true;
                 }
+            }
+            _ => {
+                eprintln!(
+                    "error: datacenter {}h: missing a placement cell for the fan-out gate",
+                    p.hosts
+                );
+                failed = true;
             }
         }
     }

@@ -11,7 +11,7 @@
 
 use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
 use dynapipe_cluster::{run_training_cluster_traced, ClusterConfig};
-use dynapipe_core::{DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig};
+use dynapipe_core::{DynaPipePlanner, PlannerConfig, RunConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
@@ -111,7 +111,6 @@ fn main() {
             workers_per_host: workers,
             executor_hosts: 1,
             plan_ahead: 8,
-            codec: PlanCodec::Binary,
             fabric: Fabric::free(),
             ..Default::default()
         };

@@ -16,12 +16,11 @@
 //! panics, diverges from its reference, or stops emitting its artifact —
 //! in minutes instead of a full regeneration run. Divergence checks
 //! (`planning_speed`, `fig17_planahead`) still run and still fail the
-//! sweep — including `fig17_planahead`'s store-backed arms across all
-//! three wire codecs (`json`/`binary`/`flat`, the last executing
-//! engines straight over the wire bytes) and `fig09_cluster`'s
-//! topology × codec matrix with its flat decode/bytes gates, so
-//! plan-serialization bit-rot in any codec fails CI; smoke runs never
-//! touch the root artifacts. After the figures, the sweep round-trips
+//! sweep — including `fig17_planahead`'s store-backed arm (engines
+//! running straight over the Flat wire bytes) and `fig09_cluster`'s
+//! topology matrix with its absolute Flat bytes-per-record and
+//! validate-time gates, so plan-serialization bit-rot fails CI; smoke
+//! runs never touch the root artifacts. After the figures, the sweep round-trips
 //! `fig09_cluster`'s exported span trace through `trace_report`
 //! (parse → validate → reconcile → critical path), so a trace that
 //! stops reconciling with the counters also fails the sweep.

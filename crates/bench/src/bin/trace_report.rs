@@ -84,10 +84,9 @@ fn main() {
     };
     let m = &trace.meta;
     println!(
-        "  run: {} [{} codec={} placement={}] {} iterations, {} spans ({} sim / {} host)",
+        "  run: {} [{} placement={}] {} iterations, {} spans ({} sim / {} host)",
         m.label,
         if m.topology.is_empty() { "single-host" } else { &m.topology },
-        if m.codec.is_empty() { "-" } else { &m.codec },
         if m.placement.is_empty() { "-" } else { &m.placement },
         m.iterations,
         trace.spans.len(),

@@ -449,6 +449,119 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Timed repetitions per pass of [`flat_wire_bench`].
+pub const FLAT_BENCH_REPS: usize = 5;
+
+/// The Flat wire format measured on one real lowered plan: the
+/// controlled microbenchmark behind the absolute Flat gates of
+/// `fig09_cluster` and `fig17_planahead`.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct FlatWireBench {
+    /// Bytes of the Flat blob.
+    pub bytes: usize,
+    /// Instruction records in it (Σ ops over every replica's programs).
+    pub records: usize,
+    /// Validate-and-wrap time per blob (µs): the `FlatPlanRef::new`
+    /// pass an executor pays per fetched blob, best of three passes of
+    /// [`FLAT_BENCH_REPS`] reps, divided by the reps.
+    pub validate_us_per_blob: f64,
+}
+
+impl FlatWireBench {
+    /// Blob bytes per instruction record (the plan section included).
+    pub fn bytes_per_record(&self) -> f64 {
+        self.bytes as f64 / self.records.max(1) as f64
+    }
+}
+
+/// Measure [`FlatWireBench`] on `planner`'s plan for a pinned input: the
+/// first 65,536-token mini-batch (max 4,096 tokens per sequence) of the
+/// default-seed 6,000-sample FLANv2 dataset, whatever the bench's own
+/// dataset or smoke setting. The gates compare against constants measured
+/// on exactly this blob, so the input must not move with the run.
+pub fn flat_wire_bench(planner: &DynaPipePlanner) -> FlatWireBench {
+    let dataset = Dataset::flanv2(20240422, 6000);
+    let gbs = GlobalBatchConfig {
+        tokens_per_batch: 65536,
+        max_seq_len: 4096,
+    };
+    let minibatch = GlobalBatchIter::new(&dataset, gbs)
+        .next()
+        .expect("the pinned dataset has a mini-batch");
+    let plan = planner
+        .plan_iteration(&minibatch)
+        .expect("the pinned mini-batch plans cleanly");
+    let programs: Vec<Vec<dynapipe_sim::DeviceProgram>> = plan
+        .replicas
+        .iter()
+        .map(|r| dynapipe_core::compile_replica(&planner.cm, &r.plan))
+        .collect();
+    let records = programs.iter().flatten().map(|p| p.ops.len()).sum();
+    let blob: Arc<[u8]> = Arc::from(dynapipe_core::encode_flat(&dynapipe_core::StoredPlan {
+        iteration: 0,
+        outcome: dynapipe_core::StoredOutcome::Plan(dynapipe_core::StoredLowered {
+            plan,
+            programs,
+        }),
+    }));
+    // Best of three passes: one scheduler preemption inside a pass must
+    // not fail the gate on a busy machine.
+    let mut best_us = f64::INFINITY;
+    for _pass in 0..3 {
+        let t = std::time::Instant::now();
+        for _ in 0..FLAT_BENCH_REPS {
+            let view = dynapipe_core::FlatPlanRef::new(blob.clone()).expect("own blob validates");
+            std::hint::black_box(&view);
+        }
+        best_us = best_us.min(t.elapsed().as_secs_f64() * 1e6);
+    }
+    FlatWireBench {
+        bytes: blob.len(),
+        records,
+        validate_us_per_blob: best_us / FLAT_BENCH_REPS as f64,
+    }
+}
+
+/// What the retired Binary wire codec measured on a [`flat_wire_bench`]
+/// blob: the reference the absolute Flat gates keep their strength
+/// against.
+#[derive(Debug, Clone, Copy)]
+pub struct BinaryReference {
+    /// Model label the reference belongs to.
+    pub model: &'static str,
+    /// Binary blob bytes per instruction record.
+    pub bytes_per_record: f64,
+    /// Binary tree-rebuild decode (`StoredPlan::decode`) µs per blob.
+    pub decode_us_per_blob: f64,
+}
+
+/// The absolute Flat gates: bytes per record at most 1.25× the Binary
+/// reference's, and validate-and-wrap per blob under 0.2× the Binary
+/// reference's tree rebuild. Returns one message per failed gate.
+pub fn flat_wire_gate(bench: &FlatWireBench, reference: &BinaryReference) -> Vec<String> {
+    let mut failures = Vec::new();
+    let bytes_bound = 1.25 * reference.bytes_per_record;
+    if bench.bytes_per_record() > bytes_bound {
+        failures.push(format!(
+            "{}: flat blob {:.2} B per instruction record exceeds {bytes_bound:.2} \
+             (1.25x the Binary codec's {:.4}) — the fixed-width arena is bloating the wire",
+            reference.model,
+            bench.bytes_per_record(),
+            reference.bytes_per_record
+        ));
+    }
+    let time_bound = 0.2 * reference.decode_us_per_blob;
+    if bench.validate_us_per_blob >= time_bound {
+        failures.push(format!(
+            "{}: flat validate-and-wrap {:.2} µs per blob is not under {time_bound:.1} \
+             (0.2x the Binary codec's {:.1} µs tree rebuild) — the zero-copy path stopped \
+             being zero-copy",
+            reference.model, bench.validate_us_per_blob, reference.decode_us_per_blob
+        ));
+    }
+    failures
+}
+
 /// Format tokens/s or an OOM marker.
 pub fn fmt_tps(x: Option<f64>) -> String {
     match x {

@@ -33,9 +33,10 @@
 //!   ([`dynapipe_sim::link`]) — one uplink connection per planner
 //!   *worker* × destination shard host (a worker's push stream is
 //!   time-ordered, so the FIFO replay is exact) and one link per
-//!   shard-host → executor-host pair — so blob *bytes* now have a
-//!   *time* cost on the training timeline, and the wire codec
-//!   ([`dynapipe_core::PlanCodec`]) becomes a measurable design choice;
+//!   shard-host → executor-host pair — so blob *bytes* have a *time*
+//!   cost on the training timeline. Blobs are Flat arenas
+//!   ([`dynapipe_core::codec`]) that executors validate once and run in
+//!   place;
 //! * per-host and per-shard counters roll up into a [`ClusterReport`]:
 //!   plans produced and bytes pushed per planner host, bytes fetched /
 //!   wire time / exposed-vs-hidden planning per executor host, bytes
@@ -50,7 +51,7 @@
 //! ([`crate::churn`]) — and [`ChurnStats`] counts what recovery cost.
 //!
 //! **The golden invariant carries over unchanged — and extends to
-//! churn:** whatever the topology, codec, link speed, or scripted
+//! churn:** whatever the topology, placement, link speed, or scripted
 //! churn, the produced [`dynapipe_core::RunReport`] is bit-identical to
 //! the serial driver's (`RunReport::behavior_eq`) — the wire and the
 //! churn can only move time around, never change what was trained.

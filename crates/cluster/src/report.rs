@@ -8,14 +8,11 @@
 //! colocated with the shard that owns an iteration's blob reads it out
 //! of host memory: that copy appears in *no* wire counter — not in
 //! `ExecutorHostStats::bytes_fetched`, not in
-//! [`ClusterReport::flat_wire_bytes`], not in
-//! [`ClusterReport::wire_bytes`]. (An earlier revision counted the
-//! store-colocated host's local copy in `flat_wire_bytes` but not in
-//! `bytes_fetched`, so the two could never reconcile; the rule above is
-//! now pinned by a reconciliation assert in
-//! `tests/cluster_equivalence.rs`: on the flat codec,
-//! `flat_wire_bytes == Σ bytes_fetched`, and it is zero on the tree
-//! codecs.) Decode time is *not* a wire quantity: every host with a
+//! [`ClusterReport::wire_bytes`]. Every fetched remote copy is a Flat
+//! blob the host's engines run in place, so `Σ bytes_fetched` is also
+//! the count of bytes executed zero-copy over the wire; the trace's
+//! `link_fetch` spans reconcile against it exactly. Decode time is *not*
+//! a wire quantity: every host with a
 //! replica decodes its own copy, local or not, so `decode_us` counts
 //! all of them.
 
@@ -158,8 +155,6 @@ pub struct ChurnStats {
 pub struct ClusterReport {
     /// Topology label, e.g. `"2p×1w→2e"`.
     pub topology: String,
-    /// Wire codec label (`"json"` / `"binary"` / `"flat"`).
-    pub codec: String,
     /// Store placement label (`"single"` / `"sharded"`).
     pub placement: String,
     /// Fabric label (`"uniform"` / `"free"` / `"racks(N)"`).
@@ -200,15 +195,12 @@ pub struct ClusterReport {
     pub overlap_ratio: f64,
     /// Total wire bytes (pushes + fetches).
     pub wire_bytes: u64,
-    /// Bytes of one mean plan blob on this codec.
+    /// Bytes of one mean plan blob.
     pub mean_blob_bytes: f64,
-    /// Σ blob decode time, one decode per fetching host (µs, real).
-    /// Under the flat codec this is validate-and-wrap plus the small
-    /// plan-metadata decode — the instruction records are never decoded.
+    /// Σ blob decode time, one decode per fetching host (µs, real):
+    /// Flat validate-and-wrap plus the small plan-metadata decode — the
+    /// instruction records are never decoded.
     pub decode_us: f64,
-    /// Wire bytes the executors ran zero-copy, straight over the fetched
-    /// blob (flat codec only; zero under the tree codecs).
-    pub flat_wire_bytes: u64,
     /// Σ encode + push time (µs, real).
     pub serialize_us: f64,
     /// Real host wall-clock of the whole run (µs).
@@ -234,7 +226,6 @@ impl ClusterReport {
         dynapipe_trace::TraceMeta {
             label: label.to_string(),
             topology: self.topology.clone(),
-            codec: self.codec.clone(),
             placement: self.placement.clone(),
             iterations: self.iterations as u64,
             exec_sim_us: self.exec_sim_us,
@@ -243,7 +234,6 @@ impl ClusterReport {
             wall_us: self.cluster_wall_us,
             bytes_pushed: self.planner_hosts.iter().map(|h| h.bytes_pushed).sum(),
             bytes_fetched: self.executor_hosts.iter().map(|h| h.bytes_fetched).sum(),
-            flat_wire_bytes: self.flat_wire_bytes,
             refetch_bytes: self.churn.refetch_bytes,
             store_pushes: self.store.pushes,
             store_takes: self.store.takes,

@@ -7,8 +7,7 @@
 //! * **Planner hosts** — `planner_hosts × workers_per_host` worker
 //!   threads claim iteration tickets from the shared bounded
 //!   [`PlanAheadQueue`] (ticket order == stream order), plan, lower to
-//!   *owned* programs, encode with the configured
-//!   [`dynapipe_core::PlanCodec`] and push the blob into the
+//!   *owned* programs, encode the Flat wire blob and push it into the
 //!   [`InstructionStore`] — the shared worker body
 //!   [`plan_lower_push_traced`], annotated with which host produced the
 //!   plan. This is the only runtime whose plans cross the store; the
@@ -175,7 +174,7 @@ enum Prefetched {
 ///
 /// The returned [`RunReport`] is bit-identical to
 /// [`dynapipe_core::run_training`] with the same arguments — any
-/// topology, codec or link speed (`RunReport::behavior_eq`; pinned by
+/// topology or link speed (`RunReport::behavior_eq`; pinned by
 /// `tests/cluster_equivalence.rs`). The [`ClusterReport`] carries the
 /// per-host and wire accounting.
 pub fn run_training_cluster_traced(
@@ -224,7 +223,6 @@ pub fn run_training_cluster_traced(
     let initial_shards = ShardMap::new(cluster.placement, cluster.executor_hosts);
     let mut out = ClusterReport {
         topology: cluster.label(),
-        codec: cluster.codec.label().to_string(),
         placement: cluster.placement.label().to_string(),
         fabric: cluster.fabric.label(),
         plan_ahead: cluster.plan_ahead,
@@ -336,7 +334,6 @@ pub fn run_training_cluster_traced(
                     let push = plan_lower_push_traced(
                         planner,
                         store,
-                        cluster.codec,
                         ticket.index,
                         &ticket.batch,
                         &TicketTraceCtx {
@@ -628,7 +625,7 @@ pub fn run_training_cluster_traced(
                     // lint:allow(wall-clock): decode timing for ExecutorHostStats.decode_us, a stats field only
                     let t_decode = Instant::now();
                     let decoded = taken.map_err(|e| format!("take: {e}")).and_then(|blob| {
-                        decode_for_execution(cluster.codec, blob, it)
+                        decode_for_execution(blob, it)
                             .map_err(|e| format!("decode: {e}"))
                     });
                     let decode_us = t_decode.elapsed().as_secs_f64() * 1e6;
@@ -821,7 +818,6 @@ pub fn run_training_cluster_traced(
                 }
             }
             let mut sync_end = f64::NEG_INFINITY;
-            let mut remote_copies = 0u64;
             for (h, &span) in spans.iter().enumerate() {
                 if span == f64::NEG_INFINITY {
                     continue; // no replica landed here this iteration
@@ -843,7 +839,6 @@ pub fn run_training_cluster_traced(
                 if h != shard_host {
                     eh.bytes_fetched += bytes;
                     out.shards[shard].bytes_served += bytes;
-                    remote_copies += 1;
                     if sink.is_enabled() {
                         sink.record(Span {
                             kind: SpanKind::LinkFetch,
@@ -908,14 +903,6 @@ pub fn run_training_cluster_traced(
             out.serialize_us += meta.serialize_us;
             out.decode_us += decode_us * spans.iter().filter(|s| s.is_finite()).count() as f64;
             out.total_planning_us += meta.plan_us + meta.lower_us;
-            if cluster.codec == dynapipe_core::PlanCodec::Flat {
-                // Every host that fetched a *remote* copy ran engines
-                // straight over the wire bytes; the shard owner's local
-                // copy is host memory, not wire (the wire-byte rule —
-                // an earlier revision counted it here but not in
-                // bytes_fetched, so the two could never reconcile).
-                out.flat_wire_bytes += bytes * remote_copies;
-            }
             out.iterations += 1;
 
             record_iteration(

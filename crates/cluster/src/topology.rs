@@ -40,7 +40,8 @@ pub struct ClusterConfig {
     /// Bounded plan-ahead window shared by the whole planner pool, also
     /// the store's capacity (≥ 1).
     pub plan_ahead: usize,
-    /// Wire codec for every plan blob on every hop.
+    /// Wire codec for every plan blob on every hop. Flat is the only
+    /// one; see [`PlanCodec`] for why the field remains.
     pub codec: PlanCodec,
     /// Host-pair α-β cost matrix for every hop. [`Fabric::free`]
     /// degenerates the topology to free transport (useful as an A/B

@@ -4,7 +4,7 @@
 //! replica re-placement, straggler slowdown with deadline re-issue —
 //! must produce a [`dynapipe_core::RunReport`] bit-identical
 //! (`behavior_eq`) to both the serial driver and the undisturbed
-//! cluster run, across every wire codec, with the instruction store
+//! cluster run, with the instruction store
 //! empty at the end and every push reconciled (taken or discarded,
 //! never orphaned — re-issue duplicates included). Under the sharded
 //! store placement the matrix extends to losing shard *owners* —
@@ -18,8 +18,7 @@ use dynapipe_cluster::{
     ClusterReport, StorePlacement,
 };
 use dynapipe_core::{
-    run_training, DynaPipePlanner, IterationPlanner, PlanCodec, PlannerConfig, RunConfig,
-    RunReport,
+    run_training, DynaPipePlanner, IterationPlanner, PlannerConfig, RunConfig, RunReport,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig, Sample};
@@ -141,30 +140,27 @@ fn planner_crash_recovers_bit_identically() {
     };
     let serial = run_training(&planner, &dataset, gbs(16384), run);
     assert!(serial.feasible(), "{:?}", serial.failure);
-    for codec in PlanCodec::ALL {
-        let cfg = ClusterConfig {
-            planner_hosts: 2,
-            workers_per_host: 1,
-            executor_hosts: 1,
-            plan_ahead: 3,
-            codec,
-            // Crash host 1 as the executor turns to iteration 1: any
-            // ticket its worker holds is re-issued to host 0, which
-            // carries the rest of the epoch alone.
-            churn: ChurnScript::new().at(1, ChurnEvent::PlannerCrash { host: 1 }),
-            ..Default::default()
-        };
-        let label = format!("crash/{}", codec.label());
-        let stats = assert_churn_equivalent(
-            &planner, &dataset, gbs(16384), run, &serial, cfg, &label,
-        );
-        assert_eq!(stats.iterations, 4, "{label}: full epoch despite the crash");
-        assert_eq!(stats.churn.planner_crashes, 1, "{label}");
-        assert_eq!(stats.churn.events_applied, 1, "{label}");
-        // Whoever planned what, every iteration is accounted to a host.
-        let produced: usize = stats.planner_hosts.iter().map(|h| h.plans_produced).sum();
-        assert_eq!(produced + stats.store.discarded as usize, stats.store.pushes as usize);
-    }
+    let cfg = ClusterConfig {
+        planner_hosts: 2,
+        workers_per_host: 1,
+        executor_hosts: 1,
+        plan_ahead: 3,
+        // Crash host 1 as the executor turns to iteration 1: any
+        // ticket its worker holds is re-issued to host 0, which
+        // carries the rest of the epoch alone.
+        churn: ChurnScript::new().at(1, ChurnEvent::PlannerCrash { host: 1 }),
+        ..Default::default()
+    };
+    let label = "crash";
+    let stats = assert_churn_equivalent(
+        &planner, &dataset, gbs(16384), run, &serial, cfg, label,
+    );
+    assert_eq!(stats.iterations, 4, "{label}: full epoch despite the crash");
+    assert_eq!(stats.churn.planner_crashes, 1, "{label}");
+    assert_eq!(stats.churn.events_applied, 1, "{label}");
+    // Whoever planned what, every iteration is accounted to a host.
+    let produced: usize = stats.planner_hosts.iter().map(|h| h.plans_produced).sum();
+    assert_eq!(produced + stats.store.discarded as usize, stats.store.pushes as usize);
 }
 
 #[test]
@@ -184,7 +180,6 @@ fn crashing_the_last_planner_host_is_ignored_not_fatal() {
         workers_per_host: 1,
         executor_hosts: 1,
         plan_ahead: 2,
-        codec: PlanCodec::Binary,
         churn: ChurnScript::new().at(0, ChurnEvent::PlannerCrash { host: 0 }),
         ..Default::default()
     };
@@ -206,30 +201,27 @@ fn planner_join_rebalances_bit_identically() {
     };
     let serial = run_training(&planner, &dataset, gbs(16384), run);
     assert!(serial.feasible(), "{:?}", serial.failure);
-    for codec in PlanCodec::ALL {
-        let cfg = ClusterConfig {
-            planner_hosts: 1,
-            workers_per_host: 1,
-            executor_hosts: 1,
-            plan_ahead: 3,
-            codec,
-            // A second planner host (2 workers) joins at iteration 1 and
-            // starts claiming from the shared window immediately.
-            churn: ChurnScript::new().at(1, ChurnEvent::PlannerJoin { workers: 2 }),
-            ..Default::default()
-        };
-        let label = format!("join/{}", codec.label());
-        let stats = assert_churn_equivalent(
-            &planner, &dataset, gbs(16384), run, &serial, cfg, &label,
-        );
-        assert_eq!(stats.churn.planner_joins, 1, "{label}");
-        // The roster grew: the joined host reports alongside the seed
-        // host (whether it won any ticket is scheduling).
-        assert_eq!(stats.planner_hosts.len(), 2, "{label}");
-        assert_eq!(stats.planner_hosts[1].workers, 2, "{label}");
-        let produced: usize = stats.planner_hosts.iter().map(|h| h.plans_produced).sum();
-        assert_eq!(produced, 4, "{label}: all plans accounted");
-    }
+    let cfg = ClusterConfig {
+        planner_hosts: 1,
+        workers_per_host: 1,
+        executor_hosts: 1,
+        plan_ahead: 3,
+        // A second planner host (2 workers) joins at iteration 1 and
+        // starts claiming from the shared window immediately.
+        churn: ChurnScript::new().at(1, ChurnEvent::PlannerJoin { workers: 2 }),
+        ..Default::default()
+    };
+    let label = "join";
+    let stats = assert_churn_equivalent(
+        &planner, &dataset, gbs(16384), run, &serial, cfg, label,
+    );
+    assert_eq!(stats.churn.planner_joins, 1, "{label}");
+    // The roster grew: the joined host reports alongside the seed
+    // host (whether it won any ticket is scheduling).
+    assert_eq!(stats.planner_hosts.len(), 2, "{label}");
+    assert_eq!(stats.planner_hosts[1].workers, 2, "{label}");
+    let produced: usize = stats.planner_hosts.iter().map(|h| h.plans_produced).sum();
+    assert_eq!(produced, 4, "{label}: all plans accounted");
 }
 
 #[test]
@@ -245,44 +237,41 @@ fn executor_loss_replaces_replicas_bit_identically() {
     };
     let serial = run_training(&planner, &dataset, gbs(32768), run);
     assert!(serial.feasible(), "{:?}", serial.failure);
-    for codec in PlanCodec::ALL {
-        let cfg = ClusterConfig {
-            planner_hosts: 1,
-            workers_per_host: 2,
-            executor_hosts: 2,
-            plan_ahead: 3,
-            codec,
-            churn: ChurnScript::new().at(1, ChurnEvent::ExecutorLoss { host: 1 }),
-            ..Default::default()
-        };
-        let label = format!("loss/{}", codec.label());
-        let stats = assert_churn_equivalent(
-            &planner, &dataset, gbs(32768), run, &serial, cfg, &label,
-        );
-        assert_eq!(stats.churn.executor_losses, 1, "{label}");
-        assert_eq!(stats.churn.replicas_moved, 1, "{label}");
-        // Replica 1 executed on host 1 (iteration 0) and then on host 0
-        // (after the loss): both hosts saw it.
-        assert!(
-            stats.executor_hosts[0].replicas.contains(&1),
-            "{label}: replica 1 must re-place onto host 0, got {:?}",
-            stats.executor_hosts[0].replicas
-        );
-        assert!(
-            stats.executor_hosts[1].replicas.contains(&1),
-            "{label}: host 1 ran replica 1 before dying"
-        );
-        // Host 1 fetched only the pre-loss iteration's blob; an
-        // undisturbed twin fetches all four. (Loss at iteration 1 =
-        // exactly one fetched blob, sized codec-dependently — compare
-        // against the mean blob to stay codec-agnostic.)
-        assert!(
-            (stats.executor_hosts[1].bytes_fetched as f64)
-                < 2.0 * stats.mean_blob_bytes,
-            "{label}: dead host kept fetching: {} bytes",
-            stats.executor_hosts[1].bytes_fetched
-        );
-    }
+    let cfg = ClusterConfig {
+        planner_hosts: 1,
+        workers_per_host: 2,
+        executor_hosts: 2,
+        plan_ahead: 3,
+        churn: ChurnScript::new().at(1, ChurnEvent::ExecutorLoss { host: 1 }),
+        ..Default::default()
+    };
+    let label = "loss";
+    let stats = assert_churn_equivalent(
+        &planner, &dataset, gbs(32768), run, &serial, cfg, label,
+    );
+    assert_eq!(stats.churn.executor_losses, 1, "{label}");
+    assert_eq!(stats.churn.replicas_moved, 1, "{label}");
+    // Replica 1 executed on host 1 (iteration 0) and then on host 0
+    // (after the loss): both hosts saw it.
+    assert!(
+        stats.executor_hosts[0].replicas.contains(&1),
+        "{label}: replica 1 must re-place onto host 0, got {:?}",
+        stats.executor_hosts[0].replicas
+    );
+    assert!(
+        stats.executor_hosts[1].replicas.contains(&1),
+        "{label}: host 1 ran replica 1 before dying"
+    );
+    // Host 1 fetched only the pre-loss iteration's blob; an
+    // undisturbed twin fetches all four. (Loss at iteration 1 =
+    // exactly one fetched blob; blob sizes vary by iteration, so compare
+    // against the mean blob.)
+    assert!(
+        (stats.executor_hosts[1].bytes_fetched as f64)
+            < 2.0 * stats.mean_blob_bytes,
+        "{label}: dead host kept fetching: {} bytes",
+        stats.executor_hosts[1].bytes_fetched
+    );
 }
 
 #[test]
@@ -299,7 +288,6 @@ fn losing_the_store_host_is_ignored_not_fatal() {
         workers_per_host: 1,
         executor_hosts: 2,
         plan_ahead: 2,
-        codec: PlanCodec::Json,
         // Host 0 holds the store: losing it is fail-stop, not churn.
         // Losing host 1 twice: the second event hits a dead host.
         churn: ChurnScript::new()
@@ -330,45 +318,42 @@ fn sharded_owner_loss_reowns_shards_and_refetches_in_flight_blobs() {
     };
     let serial = run_training(&planner, &dataset, gbs(49152), run);
     assert!(serial.feasible(), "{:?}", serial.failure);
-    for codec in PlanCodec::ALL {
-        let cfg = ClusterConfig {
-            planner_hosts: 1,
-            workers_per_host: 2,
-            executor_hosts: 3,
-            plan_ahead: 3,
-            codec,
-            placement: StorePlacement::Sharded,
-            churn: ChurnScript::new().at(1, ChurnEvent::ExecutorLoss { host: 1 }),
-            ..Default::default()
-        };
-        let label = format!("shard-loss/{}", codec.label());
-        let stats = assert_churn_equivalent(
-            &planner, &dataset, gbs(49152), run, &serial, cfg, &label,
-        );
-        assert_eq!(stats.churn.executor_losses, 1, "{label}");
-        assert_eq!(stats.churn.replicas_moved, 1, "{label}");
-        // Only the dead owner's shard moved; survivors' shards stayed.
-        assert_eq!(stats.churn.shards_moved, 1, "{label}");
-        assert_eq!(stats.shards.len(), 3, "{label}: one shard per host");
-        assert_eq!(stats.shards[0].owner, 0, "{label}: surviving shard 0 is stable");
-        assert_eq!(stats.shards[2].owner, 2, "{label}: surviving shard 2 is stable");
-        assert_ne!(stats.shards[1].owner, 1, "{label}: lost shard must re-own");
-        // Iteration 1's blob was in flight to the dead owner: exactly
-        // one restore from the surviving peer, sized like a blob.
-        assert_eq!(stats.churn.blobs_refetched, 1, "{label}");
-        assert!(
-            stats.churn.refetch_bytes > 0
-                && (stats.churn.refetch_bytes as f64) < 2.0 * stats.mean_blob_bytes,
-            "{label}: one blob restored, got {} bytes",
-            stats.churn.refetch_bytes
-        );
-        // The per-shard view agrees with the ledger.
-        let refetched: u64 = stats.shards.iter().map(|s| s.refetched_blobs).sum();
-        let refetch_bytes: u64 = stats.shards.iter().map(|s| s.refetch_bytes).sum();
-        assert_eq!(refetched, stats.churn.blobs_refetched, "{label}");
-        assert_eq!(refetch_bytes, stats.churn.refetch_bytes, "{label}");
-        assert_eq!(stats.shards[1].refetched_blobs, 1, "{label}: the moved shard restored");
-    }
+    let cfg = ClusterConfig {
+        planner_hosts: 1,
+        workers_per_host: 2,
+        executor_hosts: 3,
+        plan_ahead: 3,
+        placement: StorePlacement::Sharded,
+        churn: ChurnScript::new().at(1, ChurnEvent::ExecutorLoss { host: 1 }),
+        ..Default::default()
+    };
+    let label = "shard-loss";
+    let stats = assert_churn_equivalent(
+        &planner, &dataset, gbs(49152), run, &serial, cfg, label,
+    );
+    assert_eq!(stats.churn.executor_losses, 1, "{label}");
+    assert_eq!(stats.churn.replicas_moved, 1, "{label}");
+    // Only the dead owner's shard moved; survivors' shards stayed.
+    assert_eq!(stats.churn.shards_moved, 1, "{label}");
+    assert_eq!(stats.shards.len(), 3, "{label}: one shard per host");
+    assert_eq!(stats.shards[0].owner, 0, "{label}: surviving shard 0 is stable");
+    assert_eq!(stats.shards[2].owner, 2, "{label}: surviving shard 2 is stable");
+    assert_ne!(stats.shards[1].owner, 1, "{label}: lost shard must re-own");
+    // Iteration 1's blob was in flight to the dead owner: exactly
+    // one restore from the surviving peer, sized like a blob.
+    assert_eq!(stats.churn.blobs_refetched, 1, "{label}");
+    assert!(
+        stats.churn.refetch_bytes > 0
+            && (stats.churn.refetch_bytes as f64) < 2.0 * stats.mean_blob_bytes,
+        "{label}: one blob restored, got {} bytes",
+        stats.churn.refetch_bytes
+    );
+    // The per-shard view agrees with the ledger.
+    let refetched: u64 = stats.shards.iter().map(|s| s.refetched_blobs).sum();
+    let refetch_bytes: u64 = stats.shards.iter().map(|s| s.refetch_bytes).sum();
+    assert_eq!(refetched, stats.churn.blobs_refetched, "{label}");
+    assert_eq!(refetch_bytes, stats.churn.refetch_bytes, "{label}");
+    assert_eq!(stats.shards[1].refetched_blobs, 1, "{label}: the moved shard restored");
 }
 
 #[test]
@@ -390,7 +375,6 @@ fn sharded_placement_survives_losing_host_zero() {
         workers_per_host: 1,
         executor_hosts: 2,
         plan_ahead: 2,
-        codec: PlanCodec::Binary,
         placement: StorePlacement::Sharded,
         churn: ChurnScript::new().at(1, ChurnEvent::ExecutorLoss { host: 0 }),
         ..Default::default()
@@ -435,54 +419,51 @@ fn straggler_reissue_recovers_bit_identically() {
     };
     let serial = run_training(&planner, &dataset, gbs(16384), run);
     assert!(serial.feasible(), "{:?}", serial.failure);
-    for codec in PlanCodec::ALL {
-        let cfg = ClusterConfig {
-            planner_hosts: 2,
-            workers_per_host: 1,
-            executor_hosts: 1,
-            plan_ahead: 2,
-            codec,
-            // Host 1's next claim sleeps 1.5 s before planning; the
-            // executor's 60 ms deadline detects the stall and re-issues
-            // the ticket to host 0. Both attempts eventually complete:
-            // first wins, the duplicate blob is discarded at the store
-            // door and the duplicate completion discarded as stale.
-            churn: ChurnScript::new().at(0, ChurnEvent::Straggle {
-                host: 1,
-                delay_ms: 1500,
-            }),
-            reissue_deadline: Some(Duration::from_millis(60)),
-            ..Default::default()
-        };
-        let label = format!("straggle/{}", codec.label());
-        let stats = assert_churn_equivalent(
-            &planner, &dataset, gbs(16384), run, &serial, cfg, &label,
-        );
-        assert_eq!(stats.churn.straggles, 1, "{label}");
-        assert!(
-            stats.churn.deadline_expiries >= 1,
-            "{label}: the 60ms deadline must expire under a 1.5s straggle"
-        );
-        assert!(
-            stats.churn.tickets_reissued >= 1,
-            "{label}: the stalled ticket must re-issue"
-        );
-        // Both attempts ran to completion: exactly one was accepted per
-        // iteration, the rest discarded — never double-completed, never
-        // silently overwritten.
-        assert!(
-            stats.churn.stale_completions >= 1,
-            "{label}: the losing attempt's completion must be counted stale"
-        );
-        assert!(
-            stats.churn.duplicate_blobs_discarded >= 1,
-            "{label}: the losing attempt's blob must be discarded at the store"
-        );
-        assert_eq!(
-            stats.store.discarded, stats.churn.duplicate_blobs_discarded,
-            "{label}: store discards are exactly the counted duplicates"
-        );
-    }
+    let cfg = ClusterConfig {
+        planner_hosts: 2,
+        workers_per_host: 1,
+        executor_hosts: 1,
+        plan_ahead: 2,
+        // Host 1's next claim sleeps 1.5 s before planning; the
+        // executor's 60 ms deadline detects the stall and re-issues
+        // the ticket to host 0. Both attempts eventually complete:
+        // first wins, the duplicate blob is discarded at the store
+        // door and the duplicate completion discarded as stale.
+        churn: ChurnScript::new().at(0, ChurnEvent::Straggle {
+            host: 1,
+            delay_ms: 1500,
+        }),
+        reissue_deadline: Some(Duration::from_millis(60)),
+        ..Default::default()
+    };
+    let label = "straggle";
+    let stats = assert_churn_equivalent(
+        &planner, &dataset, gbs(16384), run, &serial, cfg, label,
+    );
+    assert_eq!(stats.churn.straggles, 1, "{label}");
+    assert!(
+        stats.churn.deadline_expiries >= 1,
+        "{label}: the 60ms deadline must expire under a 1.5s straggle"
+    );
+    assert!(
+        stats.churn.tickets_reissued >= 1,
+        "{label}: the stalled ticket must re-issue"
+    );
+    // Both attempts ran to completion: exactly one was accepted per
+    // iteration, the rest discarded — never double-completed, never
+    // silently overwritten.
+    assert!(
+        stats.churn.stale_completions >= 1,
+        "{label}: the losing attempt's completion must be counted stale"
+    );
+    assert!(
+        stats.churn.duplicate_blobs_discarded >= 1,
+        "{label}: the losing attempt's blob must be discarded at the store"
+    );
+    assert_eq!(
+        stats.store.discarded, stats.churn.duplicate_blobs_discarded,
+        "{label}: store discards are exactly the counted duplicates"
+    );
 }
 
 #[test]
@@ -498,35 +479,32 @@ fn compound_churn_still_pins_behavior() {
     };
     let serial = run_training(&planner, &dataset, gbs(16384), run);
     assert!(serial.feasible(), "{:?}", serial.failure);
-    for codec in PlanCodec::ALL {
-        let cfg = ClusterConfig {
-            planner_hosts: 2,
-            workers_per_host: 1,
-            executor_hosts: 1,
-            plan_ahead: 3,
-            codec,
-            churn: ChurnScript::new()
-                .at(1, ChurnEvent::Straggle {
-                    host: 1,
-                    delay_ms: 800,
-                })
-                .at(2, ChurnEvent::PlannerCrash { host: 1 })
-                .at(3, ChurnEvent::PlannerJoin { workers: 1 }),
-            reissue_deadline: Some(Duration::from_millis(60)),
-            ..Default::default()
-        };
-        let label = format!("compound/{}", codec.label());
-        let stats = assert_churn_equivalent(
-            &planner, &dataset, gbs(16384), run, &serial, cfg, &label,
-        );
-        assert_eq!(stats.iterations, 5, "{label}");
-        assert_eq!(stats.churn.events_applied, 3, "{label}");
-        assert_eq!(
-            (stats.churn.straggles, stats.churn.planner_crashes, stats.churn.planner_joins),
-            (1, 1, 1),
-            "{label}"
-        );
-    }
+    let cfg = ClusterConfig {
+        planner_hosts: 2,
+        workers_per_host: 1,
+        executor_hosts: 1,
+        plan_ahead: 3,
+        churn: ChurnScript::new()
+            .at(1, ChurnEvent::Straggle {
+                host: 1,
+                delay_ms: 800,
+            })
+            .at(2, ChurnEvent::PlannerCrash { host: 1 })
+            .at(3, ChurnEvent::PlannerJoin { workers: 1 }),
+        reissue_deadline: Some(Duration::from_millis(60)),
+        ..Default::default()
+    };
+    let label = "compound";
+    let stats = assert_churn_equivalent(
+        &planner, &dataset, gbs(16384), run, &serial, cfg, label,
+    );
+    assert_eq!(stats.iterations, 5, "{label}");
+    assert_eq!(stats.churn.events_applied, 3, "{label}");
+    assert_eq!(
+        (stats.churn.straggles, stats.churn.planner_crashes, stats.churn.planner_joins),
+        (1, 1, 1),
+        "{label}"
+    );
 }
 
 #[test]
@@ -556,27 +534,24 @@ fn failure_mid_epoch_during_rebalance_sweeps_speculative_blobs() {
     assert!(serial.failure.is_some(), "fixture must fail mid-epoch");
     assert!(!serial.records.is_empty());
     let fail_at = serial.records.len();
-    for codec in PlanCodec::ALL {
-        let cfg = ClusterConfig {
-            planner_hosts: 2,
-            workers_per_host: 2,
-            executor_hosts: 2,
-            plan_ahead: 3,
-            codec,
-            churn: ChurnScript::new()
-                .at(fail_at.saturating_sub(1), ChurnEvent::PlannerCrash { host: 0 })
-                .at(fail_at, ChurnEvent::ExecutorLoss { host: 1 }),
-            ..Default::default()
-        };
-        let label = format!("fail-rebalance/{}", codec.label());
-        let stats = assert_churn_equivalent(
-            &planner, &dataset, gbs, run, &serial, cfg, &label,
-        );
-        assert_eq!(
-            stats.iterations,
-            serial.records.len(),
-            "{label}: must stop at the serial failure iteration"
-        );
-        assert!(stats.churn.events_applied >= 1, "{label}");
-    }
+    let cfg = ClusterConfig {
+        planner_hosts: 2,
+        workers_per_host: 2,
+        executor_hosts: 2,
+        plan_ahead: 3,
+        churn: ChurnScript::new()
+            .at(fail_at.saturating_sub(1), ChurnEvent::PlannerCrash { host: 0 })
+            .at(fail_at, ChurnEvent::ExecutorLoss { host: 1 }),
+        ..Default::default()
+    };
+    let label = "fail-rebalance";
+    let stats = assert_churn_equivalent(
+        &planner, &dataset, gbs, run, &serial, cfg, label,
+    );
+    assert_eq!(
+        stats.iterations,
+        serial.records.len(),
+        "{label}: must stop at the serial failure iteration"
+    );
+    assert!(stats.churn.events_applied >= 1, "{label}");
 }

@@ -1,18 +1,18 @@
 //! The cluster layer's differential harness: **every simulated topology
-//! is bit-identical to the serial driver**. Hosts, links and codecs may
+//! is bit-identical to the serial driver**. Hosts, links and placements may
 //! move time around — they must never move a single bit of behavior
 //! (records, totals, failure placement; floats compared by bit pattern
 //! via `RunReport::behavior_eq`).
 //!
 //! The matrix crosses topology shape (single-host, multi-planner,
-//! multi-executor), wire codec (JSON / binary / flat), store placement
-//! (single vs sharded), fabric (free, uniform, slow, rack-structured),
+//! multi-executor), store placement (single vs sharded), fabric (free,
+//! uniform, slow, rack-structured),
 //! jitter, dp>1, baselines, and a failure-mid-epoch run whose
 //! speculative blobs must be swept. Every cell's Sim-domain timeline is
 //! pinned bit-for-bit to the in-process plan-ahead runtime's. It also
 //! pins the **wire-byte rule** (see `report.rs`): local copies appear
-//! in no wire counter, so on the flat codec `flat_wire_bytes` must
-//! reconcile exactly with `Σ bytes_fetched`.
+//! in no wire counter, so the shards serve exactly `Σ bytes_fetched` and
+//! the trace's `link_fetch` spans reconcile with it.
 
 use dynapipe_cluster::{
     run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig, ClusterReport,
@@ -20,7 +20,7 @@ use dynapipe_cluster::{
 };
 use dynapipe_core::{
     run_training, run_training_pipelined_traced, BaselineKind, BaselinePlanner, DynaPipePlanner,
-    IterationPlan, IterationPlanner, PlanCodec, PlanError, PlannerConfig, RunConfig, RunReport,
+    IterationPlan, IterationPlanner, PlanError, PlannerConfig, RunConfig, RunReport,
     RuntimeConfig,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
@@ -52,63 +52,57 @@ fn gbs(tokens: usize) -> GlobalBatchConfig {
     }
 }
 
-/// The topology × codec × placement × fabric matrix every scenario runs
+/// The topology × placement × fabric matrix every scenario runs
 /// through.
 fn topologies() -> Vec<ClusterConfig> {
     let slow = LinkModel::new(
         500.0, 10.0, // 10 bytes/µs: a 300 KB blob costs ~30 ms
     )
     .expect("slow link model is valid");
-    let mut out = Vec::new();
-    for codec in PlanCodec::ALL {
+    vec![
         // Degenerate single host, free links: the plain store-backed
         // pipeline, one planner worker pushing to one executor.
-        out.push(ClusterConfig {
+        ClusterConfig {
             planner_hosts: 1,
             workers_per_host: 1,
             executor_hosts: 1,
             plan_ahead: 2,
-            codec,
             fabric: Fabric::free(),
             ..Default::default()
-        });
+        },
         // Multi-planner, multi-executor over the default (a100
         // inter-node) uniform fabric.
-        out.push(ClusterConfig {
+        ClusterConfig {
             planner_hosts: 2,
             workers_per_host: 2,
             executor_hosts: 2,
             plan_ahead: 3,
-            codec,
             ..Default::default()
-        });
+        },
         // A link slow enough that wire time dominates: exposure may be
         // large, behavior must not budge. (Window 3: a worker becomes
         // eligible to claim speculatively well before a failure can
         // cancel the pool — the failure test relies on it.)
-        out.push(ClusterConfig {
+        ClusterConfig {
             planner_hosts: 3,
             workers_per_host: 1,
             executor_hosts: 2,
             plan_ahead: 3,
-            codec,
             fabric: Fabric::uniform(slow).expect("slow fabric is valid"),
             ..Default::default()
-        });
+        },
         // Sharded store on a rack-structured fabric: pushes and fetches
         // fan out across shard owners, cross-rack hops oversubscribed.
-        out.push(ClusterConfig {
+        ClusterConfig {
             planner_hosts: 2,
             workers_per_host: 1,
             executor_hosts: 2,
             plan_ahead: 3,
-            codec,
             placement: StorePlacement::Sharded,
             fabric: ClusterConfig::datacenter_fabric(&HardwareModel::a100_cluster(), 2, 4.0),
             ..Default::default()
-        });
-    }
-    out
+        },
+    ]
 }
 
 fn assert_cluster_matrix(
@@ -121,17 +115,12 @@ fn assert_cluster_matrix(
     let mut reports = Vec::new();
     // The Sim-domain span timeline is derived purely from the
     // behavior-pinned execution results, so it must be bit-identical
-    // across every topology × codec × placement cell and to the
+    // across every topology × placement cell and to the
     // in-process plan-ahead runtime, whose plans never cross the store:
     // pin every cell's trace against the in-process run's.
     let pinned = in_process_trace(planner, dataset, gbs, run, serial);
     for cluster in topologies() {
-        let label = format!(
-            "{}/{}/{}",
-            cluster.label(),
-            cluster.codec.label(),
-            cluster.placement.label()
-        );
+        let label = format!("{}/{}", cluster.label(), cluster.placement.label());
         let plan_ahead = cluster.plan_ahead;
         let sink = TraceSink::bounded(TRACE_CAP);
         let (report, stats) =
@@ -179,20 +168,11 @@ fn assert_cluster_matrix(
         // The wire hop is real work, accounted on both sides.
         assert!(stats.serialize_us > 0.0, "{label}: encode + push never timed");
         assert!(stats.decode_us > 0.0, "{label}: decode never timed");
-        // The wire-byte rule reconciles across counters (the regression
-        // this matrix pins: flat_wire_bytes used to count the store
-        // host's local copy while bytes_fetched excluded it). Zero-copy
-        // execution happens exactly over the remote copies on the flat
-        // codec, and never on the tree codecs.
+        // The wire-byte rule reconciles across counters: the trace's
+        // link_fetch bytes (checked by `reconcile` above) and the shards'
+        // served bytes both equal Σ bytes_fetched, which counts remote
+        // copies only.
         let fetched: u64 = stats.executor_hosts.iter().map(|h| h.bytes_fetched).sum();
-        if stats.codec == "flat" {
-            assert_eq!(
-                stats.flat_wire_bytes, fetched,
-                "{label}: flat_wire_bytes must reconcile with Σ bytes_fetched"
-            );
-        } else {
-            assert_eq!(stats.flat_wire_bytes, 0, "{label}: tree codecs never run zero-copy");
-        }
         // Shard accounting reconciles with the host-level counters under
         // both placements.
         let served: u64 = stats.shards.iter().map(|s| s.bytes_served).sum();
@@ -351,7 +331,6 @@ fn slow_links_expose_wire_time_without_changing_behavior() {
         workers_per_host: 1,
         executor_hosts: 1,
         plan_ahead: 2,
-        codec: PlanCodec::Binary,
         fabric: Fabric::free(),
         ..Default::default()
     };
@@ -493,46 +472,6 @@ fn zero_iteration_cap_produces_empty_report() {
     assert!(report.records.is_empty());
     assert_eq!(stats.iterations, 0);
     assert_eq!(stats.cluster_wall_us, 0.0);
-}
-
-#[test]
-fn binary_codec_shrinks_the_wire_on_identical_behavior() {
-    // Same topology, both codecs: identical RunReports (pinned in the
-    // matrix), but the binary wire must carry at most half the bytes —
-    // the acceptance bar the fig09 bench enforces on the full workload.
-    let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
-    let dataset = Dataset::flanv2(239, 500);
-    let run = RunConfig {
-        max_iterations: Some(2),
-        ..Default::default()
-    };
-    let base = ClusterConfig {
-        planner_hosts: 1,
-        workers_per_host: 2,
-        executor_hosts: 1,
-        plan_ahead: 2,
-        codec: PlanCodec::Json,
-        ..Default::default()
-    };
-    let (ra, json) = run_cluster(&planner, &dataset, gbs(16384), run, base.clone());
-    let (rb, binary) = run_cluster(
-        &planner,
-        &dataset,
-        gbs(16384),
-        run,
-        ClusterConfig {
-            codec: PlanCodec::Binary,
-            ..base
-        },
-    );
-    ra.behavior_eq(&rb).unwrap();
-    assert!(json.mean_blob_bytes > 0.0 && binary.mean_blob_bytes > 0.0);
-    assert!(
-        binary.mean_blob_bytes * 2.0 <= json.mean_blob_bytes,
-        "binary blob {} bytes must be at most half of JSON {}",
-        binary.mean_blob_bytes,
-        json.mean_blob_bytes
-    );
 }
 
 #[test]
@@ -688,32 +627,29 @@ fn failure_behind_a_wide_window_discards_the_speculative_blobs() {
     // Speculative plans beyond the failure never become records.
     assert_eq!(stats.planning_us.len(), failed_at);
 
-    for codec in PlanCodec::ALL {
-        let label = codec.label();
-        let cluster = ClusterConfig {
-            planner_hosts: 1,
-            workers_per_host: 2,
-            executor_hosts: 1,
-            plan_ahead: 4,
-            codec,
-            fabric: Fabric::free(),
-            ..Default::default()
-        };
-        let (report, stats) = run_cluster(&lookahead, &dataset, gbs, run, cluster);
-        serial
-            .behavior_eq(&report)
-            .unwrap_or_else(|e| panic!("{label}: diverged from serial: {e}"));
-        assert_eq!(stats.iterations, failed_at, "{label}");
-        assert_eq!(stats.store.occupancy, 0, "{label}: orphaned blobs");
-        assert_eq!(
-            stats.store.pushes,
-            stats.store.takes + stats.store.discarded,
-            "{label}: pushed blobs must all be taken or discarded: {:?}",
-            stats.store
-        );
-        assert!(
-            stats.store.discarded > 0,
-            "{label}: a wide window must have parked speculative blobs to discard"
-        );
-    }
+    let label = "1p×2w→1e";
+    let cluster = ClusterConfig {
+        planner_hosts: 1,
+        workers_per_host: 2,
+        executor_hosts: 1,
+        plan_ahead: 4,
+        fabric: Fabric::free(),
+        ..Default::default()
+    };
+    let (report, stats) = run_cluster(&lookahead, &dataset, gbs, run, cluster);
+    serial
+        .behavior_eq(&report)
+        .unwrap_or_else(|e| panic!("{label}: diverged from serial: {e}"));
+    assert_eq!(stats.iterations, failed_at, "{label}");
+    assert_eq!(stats.store.occupancy, 0, "{label}: orphaned blobs");
+    assert_eq!(
+        stats.store.pushes,
+        stats.store.takes + stats.store.discarded,
+        "{label}: pushed blobs must all be taken or discarded: {:?}",
+        stats.store
+    );
+    assert!(
+        stats.store.discarded > 0,
+        "{label}: a wide window must have parked speculative blobs to discard"
+    );
 }

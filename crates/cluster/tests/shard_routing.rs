@@ -1,7 +1,6 @@
 //! Property tests for store-shard routing ([`dynapipe_cluster::shard`])
 //! plus a small end-to-end check that the runtime's per-shard counters
-//! follow the same arithmetic across both placements and all three wire
-//! codecs.
+//! follow the same arithmetic across both placements.
 //!
 //! The properties the datacenter sweep leans on:
 //!
@@ -13,7 +12,7 @@
 //!   recovery to the dead host's share of the store.
 
 use dynapipe_cluster::{run_training_cluster_traced, ClusterConfig, ShardMap, StorePlacement};
-use dynapipe_core::{run_training, DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig};
+use dynapipe_core::{run_training, DynaPipePlanner, PlannerConfig, RunConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
@@ -102,7 +101,7 @@ proptest! {
 /// End-to-end: the runtime's per-shard counters follow the pure routing
 /// arithmetic — `blobs_stored` per shard is exactly the count of
 /// executed iterations `i` with `i % num_shards == shard` — across both
-/// placements and all three codecs (routing must be codec-blind).
+/// placements.
 #[test]
 fn runtime_shard_counters_follow_the_routing_arithmetic() {
     let planner = DynaPipePlanner::new(
@@ -126,38 +125,35 @@ fn runtime_shard_counters_follow_the_routing_arithmetic() {
     let serial = run_training(&planner, &dataset, gbs, run);
     assert!(serial.feasible(), "{:?}", serial.failure);
     for placement in PLACEMENTS {
-        for codec in PlanCodec::ALL {
-            let cfg = ClusterConfig {
-                planner_hosts: 1,
-                workers_per_host: 1,
-                executor_hosts: 2,
-                plan_ahead: 2,
-                codec,
-                placement,
-                ..Default::default()
-            };
-            let label = format!("{}/{}", placement.label(), codec.label());
-            let (report, stats) = run_training_cluster_traced(
-                &planner,
-                &dataset,
-                gbs,
-                run,
-                cfg,
-                &TraceSink::disabled(),
+        let cfg = ClusterConfig {
+            planner_hosts: 1,
+            workers_per_host: 1,
+            executor_hosts: 2,
+            plan_ahead: 2,
+            placement,
+            ..Default::default()
+        };
+        let label = placement.label();
+        let (report, stats) = run_training_cluster_traced(
+            &planner,
+            &dataset,
+            gbs,
+            run,
+            cfg,
+            &TraceSink::disabled(),
+        );
+        serial
+            .behavior_eq(&report)
+            .unwrap_or_else(|e| panic!("{label}: diverged: {e}"));
+        let expect = ShardMap::new(placement, 2);
+        assert_eq!(stats.shards.len(), expect.num_shards(), "{label}");
+        for (s, stat) in stats.shards.iter().enumerate() {
+            let predicted = (0..stats.iterations).filter(|&i| expect.shard_of(i) == s).count();
+            assert_eq!(
+                stat.blobs_stored as usize, predicted,
+                "{label}: shard {s} must store exactly its routed iterations"
             );
-            serial
-                .behavior_eq(&report)
-                .unwrap_or_else(|e| panic!("{label}: diverged: {e}"));
-            let expect = ShardMap::new(placement, 2);
-            assert_eq!(stats.shards.len(), expect.num_shards(), "{label}");
-            for (s, stat) in stats.shards.iter().enumerate() {
-                let predicted = (0..stats.iterations).filter(|&i| expect.shard_of(i) == s).count();
-                assert_eq!(
-                    stat.blobs_stored as usize, predicted,
-                    "{label}: shard {s} must store exactly its routed iterations"
-                );
-                assert_eq!(stat.owner, expect.owner(s), "{label}: undisturbed ownership");
-            }
+            assert_eq!(stat.owner, expect.owner(s), "{label}: undisturbed ownership");
         }
     }
 }

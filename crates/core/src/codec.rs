@@ -1,34 +1,30 @@
-//! The codec-agnostic wire boundary: how [`crate::store::StoredPlan`]
-//! blobs are rendered to bytes before they enter the
-//! [`crate::store::InstructionStore`] and how executors rebuild them.
+//! The plan wire format: how [`crate::store::StoredPlan`] blobs are
+//! rendered to bytes before they enter the
+//! [`crate::store::InstructionStore`] and how executors run them.
 //!
-//! Three codecs share one contract — deterministic, float-exact, and
-//! re-encode bit-identical (`encode(decode(encode(p))) == encode(p)`):
+//! There is **one wire format**, the Flat arena: a fixed-width
+//! little-endian layout in which the wire format *is* the program.
+//! Decoding is validating the header plus offset tables once and
+//! wrapping the `Arc<[u8]>` in typed accessor structs ([`FlatPlanRef`],
+//! [`FlatProgramRef`], [`FlatInstrRef`]) that read fields by offset. No
+//! tree build, no owned copy, and no `unsafe`: every read is an explicit
+//! bounds-checked `from_le_bytes`. The simulator executes straight over
+//! the blob through `dynapipe_sim::InstructionSource`. The contract is
+//! deterministic, float-exact, and re-encode bit-identical
+//! (`encode(decode(encode(p))) == encode(p)`).
 //!
-//! * [`PlanCodec::Json`] — self-describing text over the serde shim's
-//!   JSON layer. Debuggable (a blob is a readable document) but verbose:
-//!   every object repeats its field names and every `f64` costs up to 17
-//!   digits of shortest-roundtrip text.
-//! * [`PlanCodec::Binary`] — the length-prefixed binary encoding of the
-//!   same self-describing [`Value`] data model. Every string and array is
-//!   length-prefixed (no delimiters, no escaping), integers are LEB128
-//!   varints (signed values zigzag-encoded), and `f64`s are their raw
-//!   little-endian bit patterns — exact by construction, including
-//!   non-finite values that JSON must detour through tagged strings.
-//!   Strings are **interned**: the first occurrence is written inline and
-//!   assigned the next table index, later occurrences are a one-tag
-//!   varint back-reference. Plan blobs are dominated by repeated object
-//!   keys and enum tags (`"duration"`, `"Compute"`, …), which is exactly
-//!   what the table collapses. Decoding never touches the JSON parser.
-//! * [`PlanCodec::Flat`] — a fixed-width little-endian **arena** in which
-//!   the wire format *is* the program: decoding is validating the header
-//!   plus offset tables once and wrapping the `Arc<[u8]>` in typed
-//!   accessor structs ([`FlatPlanRef`], [`FlatProgramRef`],
-//!   [`FlatInstrRef`]) that read fields by offset. No tree build, no
-//!   owned copy, and no `unsafe` — every read is an explicit
-//!   bounds-checked `from_le_bytes`, the same discipline as the Binary
-//!   codec's raw-bits `f64` handling. The simulator executes straight
-//!   over the blob through `dynapipe_sim::InstructionSource`.
+//! Two other encodings survive in supporting roles only:
+//!
+//! * **Binary** is the layout of Flat's *plan section*: the small
+//!   [`IterationPlan`] / [`PlanError`] metadata subtree, rendered as the
+//!   length-prefixed binary encoding of the serde shim's self-describing
+//!   [`Value`] model. Strings and arrays are length-prefixed, integers
+//!   are LEB128 varints (signed values zigzag-encoded), `f64`s are their
+//!   raw little-endian bit patterns, and strings are interned (the first
+//!   occurrence inline, later ones a varint back-reference). It is a
+//!   private helper of this module, not a wire codec of its own.
+//! * **JSON** (`serde_json`, `Value::to_json`) is debug output only, as
+//!   in the `plan_inspector` example. No plan crosses the store as JSON.
 //!
 //! # Flat layout (version 1)
 //!
@@ -40,7 +36,8 @@
 //!
 //! ```text
 //! header (35 bytes):
-//!   0      magic      u8   = 0xF7 (outside ASCII and ≠ Binary's 0xB1)
+//!   0      magic      u8   = 0xF7 (outside ASCII and ≠ the plan
+//!                               section's Binary magic 0xB1)
 //!   1      version    u8   = 1
 //!   2      outcome    u8   0 = Failed, 1 = Plan
 //!   3..11  total_len  u64  must equal the blob length (truncation check)
@@ -50,9 +47,8 @@
 //!   27..31 replicas   u32  number of data-parallel replicas
 //!   31..35 dir_off    u32  program directory
 //!
-//! plan section: the plan/error subtree in the Binary codec's layout
-//!   (self-describing metadata is where Binary shines; the hot path —
-//!   instruction records — never routes through it).
+//! plan section: the plan/error subtree in the Binary layout (the hot
+//!   path — instruction records — never routes through it).
 //!
 //! directory (at dir_off):
 //!   replicas × u32           per-replica device counts
@@ -75,22 +71,25 @@
 //!   frees:   8-byte id u64s
 //! ```
 //!
-//! **Versioning:** any incompatible change bumps the version byte and
-//! decoders reject other versions — same rule as Binary. The `total_len`
-//! field plus full offset-table validation in [`FlatPlanRef::new`] means
-//! a truncated or bit-flipped blob yields a typed [`CodecError`], never a
-//! panic or out-of-bounds read; accessors on a successfully validated
-//! blob are in-bounds by construction.
+//! A blob's length is therefore exactly `35 + plan section + 4·replicas
+//! + 8·Σdevices + 34·records + 16·allocs + 8·frees`. Every `f64` in the
+//! plan section is 8 raw bytes, so the length does not depend on float
+//! values such as the wall-clock `planning_time_us` (both pinned by the
+//! unit tests below).
 //!
-//! The tree codecs route through [`Value`], so *what* is encoded is
-//! decided once by the `Serialize` impls; the codec only decides *how
-//! bytes are laid out*. Flat encodes [`crate::store::StoredPlan`]
-//! structurally instead (handled by `StoredPlan::encode`/`decode`). The
-//! property suite in `tests/serialization.rs` pins all three codecs
-//! (cross-decode equal, re-encode bitwise, engine runs over decoded —
-//! or wrapped — programs bit-identical), and the `fig09_cluster` /
-//! `fig17_planahead` benches fail CI if Binary stops beating JSON on
-//! bytes or Flat stops beating Binary on decode time.
+//! **Versioning:** any incompatible change bumps the version byte and
+//! decoders reject other versions — the same rule as the Binary plan
+//! section. The `total_len` field plus full offset-table validation in
+//! [`FlatPlanRef::new`] means a truncated or bit-flipped blob yields a
+//! typed [`CodecError`], never a panic or out-of-bounds read; accessors
+//! on a successfully validated blob are in-bounds by construction.
+//!
+//! The property suite in `tests/serialization.rs` pins the format
+//! (decode equal, re-encode bitwise, engines over the wrapped programs
+//! bit-identical to engines over the originals), and the
+//! `fig09_cluster` / `fig17_planahead` benches fail CI if Flat's bytes
+//! per instruction record or its validate-and-wrap time per blob leave
+//! their absolute bounds.
 
 use crate::planner::{IterationPlan, PlanError};
 use crate::store::{StoredLowered, StoredOutcome, StoredPlan};
@@ -101,69 +100,33 @@ use serde::{Error, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Which wire encoding a [`crate::store::StoredPlan`] blob uses.
+/// The plan wire codec. Flat is the only wire format; the type remains
+/// only because the repository benchmark's adapter names
+/// `PlanCodec::Flat` when it builds a `ClusterConfig` and when it calls
+/// [`StoredPlan::encode`], and that adapter is not changed together with
+/// the program. Deleting the type is left to the next benchmark change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanCodec {
-    /// Self-describing JSON text (UTF-8 bytes).
-    #[default]
-    Json,
-    /// Length-prefixed binary with string interning; see module docs.
-    Binary,
     /// Fixed-width LE arena executed in place by typed accessors; see
-    /// module docs. Encodes [`crate::store::StoredPlan`] structurally
-    /// rather than through the [`Value`] tree.
+    /// the module docs.
+    #[default]
     Flat,
 }
 
-impl PlanCodec {
-    /// Every codec, for A/B sweeps.
-    pub const ALL: [PlanCodec; 3] = [PlanCodec::Json, PlanCodec::Binary, PlanCodec::Flat];
+/// Render a [`Value`] tree in the Binary layout: the encoding of Flat's
+/// plan section. Deterministic: the bytes are a pure function of the
+/// tree.
+fn binary_encode(v: &Value) -> Vec<u8> {
+    let mut enc = BinaryEncoder::new();
+    enc.value(v);
+    enc.out
+}
 
-    /// Short label for reports and artifacts.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanCodec::Json => "json",
-            PlanCodec::Binary => "binary",
-            PlanCodec::Flat => "flat",
-        }
-    }
-
-    /// Render a [`Value`] tree to wire bytes. Deterministic: the bytes
-    /// are a pure function of the tree. Tree codecs only —
-    /// [`PlanCodec::Flat`] lays out `StoredPlan` structurally and has no
-    /// `Value` rendering; `StoredPlan::encode` dispatches before this.
-    pub fn encode_value(&self, v: &Value) -> Vec<u8> {
-        match self {
-            PlanCodec::Json => v.to_json().into_bytes(),
-            PlanCodec::Binary => {
-                let mut enc = BinaryEncoder::new();
-                enc.value(v);
-                enc.out
-            }
-            PlanCodec::Flat => unreachable!(
-                "PlanCodec::Flat has no Value-tree layout; StoredPlan::encode handles it"
-            ),
-        }
-    }
-
-    /// Rebuild a [`Value`] tree from wire bytes produced by
-    /// [`PlanCodec::encode_value`] with the *same* codec. A blob from
-    /// another codec fails loudly (each codec's magic byte is invalid as
-    /// a first byte of the others, and JSON text never starts with
-    /// either magic), never silently misparses.
-    pub fn decode_value(&self, blob: &[u8]) -> Result<Value, Error> {
-        match self {
-            PlanCodec::Json => {
-                let text = std::str::from_utf8(blob)
-                    .map_err(|e| Error::msg(format!("blob is not UTF-8 JSON: {e}")))?;
-                serde::value::parse_json(text)
-            }
-            PlanCodec::Binary => BinaryDecoder::new(blob)?.finish(),
-            PlanCodec::Flat => Err(Error::msg(
-                "flat blobs are structured, not Value trees; decode via StoredPlan::decode",
-            )),
-        }
-    }
+/// Rebuild a [`Value`] tree from [`binary_encode`] output. Bytes that are
+/// not a Binary blob (a wrong magic, e.g. JSON text) fail loudly, never
+/// silently misparse.
+fn binary_decode(blob: &[u8]) -> Result<Value, Error> {
+    BinaryDecoder::new(blob)?.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -181,8 +144,9 @@ impl PlanCodec {
 // `string` in an object entry is a T_STR/T_STR_REF node (keys intern
 // through the same table as string values).
 
-/// First blob byte; deliberately outside ASCII so a binary blob can never
-/// be confused with JSON text (which starts with `{`, `[`, a digit, …).
+/// First blob byte; deliberately outside ASCII so a Binary section can
+/// never be confused with JSON text (which starts with `{`, `[`, a digit,
+/// …).
 const MAGIC: u8 = 0xB1;
 /// Layout version, bumped on any incompatible change.
 const VERSION: u8 = 1;
@@ -420,7 +384,7 @@ impl<'a> BinaryDecoder<'a> {
 // ---------------------------------------------------------------------------
 
 /// First byte of a flat blob; outside ASCII and distinct from the Binary
-/// magic, so the three codecs can never misparse each other's output.
+/// magic, so a plan section can never be mistaken for a whole blob.
 const FLAT_MAGIC: u8 = 0xF7;
 /// Flat layout version, bumped on any incompatible change.
 const FLAT_VERSION: u8 = 1;
@@ -534,12 +498,12 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
     let (tag, plan_bytes, programs): (u8, Vec<u8>, &[Vec<DeviceProgram>]) = match &plan.outcome {
         StoredOutcome::Plan(lowered) => (
             1,
-            PlanCodec::Binary.encode_value(&serde::Serialize::to_value(&lowered.plan)),
+            binary_encode(&serde::Serialize::to_value(&lowered.plan)),
             &lowered.programs,
         ),
         StoredOutcome::Failed(e) => (
             0,
-            PlanCodec::Binary.encode_value(&serde::Serialize::to_value(e)),
+            binary_encode(&serde::Serialize::to_value(e)),
             &[],
         ),
     };
@@ -779,9 +743,7 @@ impl FlatPlanRef {
             return Err(CodecError::Corrupt { what: "plan() on failed outcome", at: 2 });
         }
         let section = &self.blob[self.plan_off..self.plan_off + self.plan_len];
-        let v = PlanCodec::Binary
-            .decode_value(section)
-            .map_err(|e| CodecError::PlanSection(e.0))?;
+        let v = binary_decode(section).map_err(|e| CodecError::PlanSection(e.0))?;
         serde::Deserialize::from_value(&v).map_err(|e: Error| CodecError::PlanSection(e.0))
     }
 
@@ -791,9 +753,7 @@ impl FlatPlanRef {
             return Err(CodecError::Corrupt { what: "failure() on plan outcome", at: 2 });
         }
         let section = &self.blob[self.plan_off..self.plan_off + self.plan_len];
-        let v = PlanCodec::Binary
-            .decode_value(section)
-            .map_err(|e| CodecError::PlanSection(e.0))?;
+        let v = binary_decode(section).map_err(|e| CodecError::PlanSection(e.0))?;
         serde::Deserialize::from_value(&v).map_err(|e: Error| CodecError::PlanSection(e.0))
     }
 
@@ -1089,8 +1049,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(v: &Value) -> Value {
-        let blob = PlanCodec::Binary.encode_value(v);
-        PlanCodec::Binary.decode_value(&blob).expect("decodes")
+        binary_decode(&binary_encode(v)).expect("decodes")
     }
 
     fn assert_identical(a: &Value, b: &Value) {
@@ -1162,7 +1121,7 @@ mod tests {
 
     #[test]
     fn binary_preserves_nan_bits_where_json_cannot() {
-        // JSON tags non-finite floats as strings; the binary codec keeps
+        // JSON tags non-finite floats as strings; the Binary layout keeps
         // the exact bit pattern, including a NaN payload.
         let weird = f64::from_bits(0x7ff8_dead_beef_0001);
         match roundtrip(&Value::F64(weird)) {
@@ -1183,9 +1142,9 @@ mod tests {
                 ("label".into(), Value::Str("Compute".into())),
             ]),
         ]);
-        let blob = PlanCodec::Binary.encode_value(&v);
-        let back = PlanCodec::Binary.decode_value(&blob).unwrap();
-        assert_eq!(PlanCodec::Binary.encode_value(&back), blob);
+        let blob = binary_encode(&v);
+        let back = binary_decode(&blob).unwrap();
+        assert_eq!(binary_encode(&back), blob);
     }
 
     #[test]
@@ -1196,8 +1155,8 @@ mod tests {
                 .map(|_| Value::Str("a-reasonably-long-key".into()))
                 .collect(),
         );
-        let b1 = PlanCodec::Binary.encode_value(&once).len();
-        let b64 = PlanCodec::Binary.encode_value(&many).len();
+        let b1 = binary_encode(&once).len();
+        let b64 = binary_encode(&many).len();
         // 63 back-references cost ~2 bytes each, not 21+.
         assert!(
             b64 < b1 + 63 * 3,
@@ -1206,30 +1165,27 @@ mod tests {
     }
 
     #[test]
-    fn codec_mismatch_fails_loudly() {
+    fn binary_rejects_json_text() {
         let v = Value::Object(vec![("k".into(), Value::U64(1))]);
-        let json = PlanCodec::Json.encode_value(&v);
-        let binary = PlanCodec::Binary.encode_value(&v);
-        assert!(PlanCodec::Binary.decode_value(&json).is_err());
-        assert!(PlanCodec::Json.decode_value(&binary).is_err());
+        assert!(binary_decode(v.to_json().as_bytes()).is_err());
     }
 
     #[test]
     fn truncated_and_corrupt_blobs_error_cleanly() {
         let v = Value::Array(vec![Value::Str("abc".into()), Value::U64(7)]);
-        let blob = PlanCodec::Binary.encode_value(&v);
+        let blob = binary_encode(&v);
         for cut in 0..blob.len() {
             assert!(
-                PlanCodec::Binary.decode_value(&blob[..cut]).is_err(),
+                binary_decode(&blob[..cut]).is_err(),
                 "truncation at {cut} must not decode"
             );
         }
         let mut trailing = blob.clone();
         trailing.push(0);
-        assert!(PlanCodec::Binary.decode_value(&trailing).is_err());
+        assert!(binary_decode(&trailing).is_err());
         let mut bad_tag = blob;
         *bad_tag.last_mut().unwrap() = 0xEE;
-        assert!(PlanCodec::Binary.decode_value(&bad_tag).is_err());
+        assert!(binary_decode(&bad_tag).is_err());
     }
 
     use crate::store::{StoredLowered, StoredOutcome, StoredPlan};
@@ -1294,7 +1250,7 @@ mod tests {
     #[test]
     fn flat_roundtrips_through_to_stored() {
         let plan = flat_fixture();
-        let blob = plan.encode(PlanCodec::Flat);
+        let blob = encode_flat(&plan);
         let flat = FlatPlanRef::new(Arc::from(blob.as_slice())).expect("validates");
         assert_eq!(flat.iteration(), 42);
         assert!(!flat.is_failed());
@@ -1302,13 +1258,13 @@ mod tests {
         assert_eq!(flat.to_stored().expect("rebuilds"), plan);
         // Re-encode is bit-identical: the arena is a pure function of
         // the plan.
-        assert_eq!(flat.to_stored().unwrap().encode(PlanCodec::Flat), blob);
+        assert_eq!(encode_flat(&flat.to_stored().unwrap()), blob);
     }
 
     #[test]
     fn flat_views_match_owned_ops() {
         let plan = flat_fixture();
-        let blob = plan.encode(PlanCodec::Flat);
+        let blob = encode_flat(&plan);
         let flat = FlatPlanRef::new(Arc::from(blob.as_slice())).expect("validates");
         let replica = flat.replica(0).expect("one replica");
         assert_eq!(replica.num_devices(), 2);
@@ -1356,7 +1312,7 @@ mod tests {
                 "no feasible mode".to_string(),
             )),
         };
-        let blob = plan.encode(PlanCodec::Flat);
+        let blob = encode_flat(&plan);
         let flat = FlatPlanRef::new(Arc::from(blob.as_slice())).expect("validates");
         assert!(flat.is_failed());
         assert_eq!(flat.num_replicas(), 0);
@@ -1366,7 +1322,7 @@ mod tests {
 
     #[test]
     fn flat_truncation_and_corruption_yield_typed_errors() {
-        let blob = flat_fixture().encode(PlanCodec::Flat);
+        let blob = encode_flat(&flat_fixture());
         for cut in 0..blob.len() {
             let err = FlatPlanRef::new(Arc::from(&blob[..cut])).expect_err("truncated");
             assert!(
@@ -1392,51 +1348,55 @@ mod tests {
             FlatPlanRef::new(Arc::from(future.as_slice())).unwrap_err(),
             CodecError::BadVersion(9)
         );
-        // Other codecs' output is rejected at the magic byte.
-        let json = flat_fixture().encode(PlanCodec::Json);
-        let binary = flat_fixture().encode(PlanCodec::Binary);
+        // Foreign bytes — the plan's JSON debug rendering, or a bare
+        // Binary section — are rejected at the magic byte.
+        let value = serde::Serialize::to_value(&flat_fixture());
+        let json = value.to_json().into_bytes();
+        let binary = binary_encode(&value);
         assert!(FlatPlanRef::new(Arc::from(json.as_slice())).is_err());
         assert!(FlatPlanRef::new(Arc::from(binary.as_slice())).is_err());
     }
 
     #[test]
-    fn flat_bytes_stay_close_to_binary() {
-        // The acceptance gate in fig09_cluster enforces this on the real
-        // workload; this is the unit-level canary on a miniature plan.
+    fn flat_length_is_the_layout_identity() {
+        // The fixture: 1 replica, 2 devices, 5 records, 1 alloc, 1 free.
         let plan = flat_fixture();
-        let flat = plan.encode(PlanCodec::Flat).len();
-        let binary = plan.encode(PlanCodec::Binary).len();
-        assert!(
-            flat as f64 <= binary as f64 * 1.25,
-            "flat {flat} bytes vs binary {binary}"
+        let StoredOutcome::Plan(lowered) = &plan.outcome else {
+            unreachable!("the fixture is a plan")
+        };
+        let section = binary_encode(&serde::Serialize::to_value(&lowered.plan)).len();
+        let replicas = lowered.programs.len();
+        let devices: usize = lowered.programs.iter().map(|r| r.len()).sum();
+        let ops = || lowered.programs.iter().flatten().flat_map(|p| &p.ops);
+        let records = ops().count();
+        let (allocs, frees) = ops().fold((0, 0), |(a, f), op| match op {
+            SimOp::Compute { allocs, frees, .. } => (a + allocs.len(), f + frees.len()),
+            _ => (a, f),
+        });
+        assert_eq!((replicas, devices, records, allocs, frees), (1, 2, 5, 1, 1));
+        assert_eq!(
+            encode_flat(&plan).len(),
+            35 + section + 4 * replicas + 8 * devices + 34 * records + 16 * allocs + 8 * frees
         );
     }
 
     #[test]
-    fn binary_beats_json_on_a_plan_shaped_tree() {
-        // Miniature of a device program: repeated keys, enum tags, floats.
-        let op = |d: f64, mb: u64| {
-            Value::Object(vec![(
-                "Compute".into(),
-                Value::Object(vec![
-                    ("duration".into(), Value::F64(d)),
-                    (
-                        "allocs".into(),
-                        Value::Array(vec![Value::Object(vec![
-                            ("id".into(), Value::U64(mb)),
-                            ("bytes".into(), Value::U64(123_456_789)),
-                        ])]),
-                    ),
-                    ("frees".into(), Value::Array(vec![Value::U64(mb)])),
-                ]),
-            )])
+    fn planning_time_does_not_change_the_blob_length() {
+        // `planning_time_us` is wall-clock, so it differs between reruns
+        // of the same plan; the plan section stores it as 8 raw bytes, so
+        // the blob length (and every byte gate built on it) cannot move.
+        let with_time = |us: f64| {
+            let mut plan = flat_fixture();
+            if let StoredOutcome::Plan(lowered) = &mut plan.outcome {
+                lowered.plan.planning_time_us = us;
+            }
+            encode_flat(&plan)
         };
-        let tree = Value::Array((0..32).map(|i| op(1234.5678 + i as f64, i)).collect());
-        let json = PlanCodec::Json.encode_value(&tree).len();
-        let binary = PlanCodec::Binary.encode_value(&tree).len();
-        assert!(
-            binary * 2 <= json,
-            "binary {binary} bytes must be at most half of JSON {json}"
-        );
+        let reference = with_time(10.0);
+        for us in [0.0, 0.1 + 0.2, 1e-9, 123_456.789_012_3, 1e300] {
+            let blob = with_time(us);
+            assert_eq!(blob.len(), reference.len(), "planning_time_us = {us}");
+            assert_ne!(blob, reference, "the time itself is still carried");
+        }
     }
 }

@@ -22,6 +22,8 @@
 //!   blobs keyed by iteration, with capacity backpressure, tombstones on
 //!   consumption, poison on planner crash, and per-shard counters — the
 //!   plan-distribution layer of the cluster runtime (`dynapipe-cluster`).
+//! * [`codec`] — the Flat wire format those blobs are written in, which
+//!   executors validate once and run in place.
 //! * [`runtime`] — the pipelined plan-ahead runtime: a planner pool plans
 //!   iterations ahead of a bounded window while the executor runs the
 //!   current one, with a lowering stage in between; bit-identical to the

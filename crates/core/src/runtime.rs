@@ -90,7 +90,7 @@
 //!   cluster layer (`dynapipe-cluster`) drives this path; the
 //!   single-host runtime keeps the unbounded wait.
 
-use crate::codec::{FlatPlanRef, FlatReplicaRef, PlanCodec};
+use crate::codec::{FlatPlanRef, FlatReplicaRef};
 use crate::driver::{record_iteration, IterationPlanner, RunConfig, RunReport};
 use crate::planner::{IterationPlan, PlanError};
 use crate::store::{InstructionStore, StoredLowered, StoredOutcome, StoredPlan};
@@ -147,9 +147,9 @@ impl RuntimeConfig {
 #[derive(Debug, Clone)]
 pub enum ReplicaPrograms {
     /// Owned lowered programs, shared with the engines that run them
-    /// (the in-process path and the tree codecs' decoded form).
+    /// (the in-process path).
     Owned(Arc<Vec<DeviceProgram>>),
-    /// Zero-copy view into a [`PlanCodec::Flat`] wire blob: the engine
+    /// Zero-copy view into a Flat wire blob: the engine
     /// reads instruction records straight off the fetched bytes — no
     /// tree build, no owned copy.
     Flat(FlatReplicaRef),
@@ -232,7 +232,7 @@ pub struct TicketTraceCtx<'a> {
 /// The store-backed planner-worker body: plan the mini-batch, lower to
 /// *owned* programs (one ground-truth memo across replicas — the plans
 /// are about to cross the wire, so sharing `Arc`s buys nothing), encode
-/// with `codec` and push the blob keyed by `index` with put-side
+/// the Flat blob and push it keyed by `index` with put-side
 /// backpressure. Planning failures are pushed too
 /// ([`StoredOutcome::Failed`]) so the executor reports them at exactly
 /// the serial iteration.
@@ -256,7 +256,6 @@ pub struct TicketTraceCtx<'a> {
 pub fn plan_lower_push_traced(
     planner: &dyn IterationPlanner,
     store: &InstructionStore,
-    codec: PlanCodec,
     index: usize,
     batch: &[Sample],
     ctx: &TicketTraceCtx<'_>,
@@ -301,11 +300,10 @@ pub fn plan_lower_push_traced(
     let s_ser = ctx.sink.now_us();
     // lint:allow(wall-clock): serialize timing for RuntimeStats.serialize_us, a stats field only
     let t_ser = Instant::now();
-    let blob = StoredPlan {
+    let blob = crate::codec::encode_flat(&StoredPlan {
         iteration: index,
         outcome,
-    }
-    .encode(codec);
+    });
     let blob_bytes = blob.len();
     let discarded = store
         .push_discarding(index, blob, STORE_WAIT)
@@ -481,63 +479,39 @@ pub fn execute_lowered(
 /// executable form: either the plan with per-replica programs or the
 /// planner failure stored in its place.
 ///
-/// Tree codecs ([`PlanCodec::Json`], [`PlanCodec::Binary`]) materialize
-/// owned programs. [`PlanCodec::Flat`] validates the arena once and
-/// hands back [`ReplicaPrograms::Flat`] views over the very same bytes —
-/// the engines execute straight over the wire blob; only the small
-/// plan-metadata section is materialized.
+/// The Flat arena is validated once and handed back as
+/// [`ReplicaPrograms::Flat`] views over the very same bytes — the engines
+/// execute straight over the wire blob; only the small plan-metadata
+/// section is materialized.
 ///
 /// A blob that decodes but does not fit the fetch is an `Err`, never a
 /// smaller iteration: the blob must name iteration `expected`, and a plan
 /// must carry exactly one program set per replica.
 #[allow(clippy::type_complexity)]
 pub fn decode_for_execution(
-    codec: PlanCodec,
     blob: Arc<[u8]>,
     expected: usize,
 ) -> Result<Result<(IterationPlan, Vec<ReplicaPrograms>), PlanError>, String> {
-    let (iteration, outcome) = if codec == PlanCodec::Flat {
-        let flat = FlatPlanRef::new(blob).map_err(|e| e.to_string())?;
-        let outcome = if flat.is_failed() {
-            Err(flat.failure().map_err(|e| e.to_string())?)
-        } else {
-            let plan = flat.plan().map_err(|e| e.to_string())?;
-            let programs: Vec<ReplicaPrograms> =
-                flat.replicas().into_iter().map(ReplicaPrograms::Flat).collect();
-            Ok((plan, programs))
-        };
-        (flat.iteration(), outcome)
-    } else {
-        let stored = StoredPlan::decode(codec, &blob).map_err(|e| e.to_string())?;
-        let outcome = match stored.outcome {
-            // Engines will run over the owned, deserialized programs —
-            // nothing from the planner side of the boundary is referenced.
-            StoredOutcome::Plan(StoredLowered { plan, programs }) => Ok((
-                plan,
-                programs
-                    .into_iter()
-                    .map(|p| ReplicaPrograms::Owned(Arc::new(p)))
-                    .collect(),
-            )),
-            StoredOutcome::Failed(e) => Err(e),
-        };
-        (stored.iteration, outcome)
-    };
-    if iteration != expected {
+    let flat = FlatPlanRef::new(blob).map_err(|e| e.to_string())?;
+    if flat.iteration() != expected {
         return Err(format!(
-            "blob carries iteration {iteration}, fetched for iteration {expected}"
+            "blob carries iteration {}, fetched for iteration {expected}",
+            flat.iteration()
         ));
     }
-    if let Ok((plan, programs)) = &outcome {
-        if plan.replicas.len() != programs.len() {
-            return Err(format!(
-                "plan has {} replicas but the blob carries {} replica programs",
-                plan.replicas.len(),
-                programs.len()
-            ));
-        }
+    if flat.is_failed() {
+        return Ok(Err(flat.failure().map_err(|e| e.to_string())?));
     }
-    Ok(outcome)
+    let plan = flat.plan().map_err(|e| e.to_string())?;
+    if plan.replicas.len() != flat.num_replicas() {
+        return Err(format!(
+            "plan has {} replicas but the blob carries {} replica programs",
+            plan.replicas.len(),
+            flat.num_replicas()
+        ));
+    }
+    let programs = flat.replicas().into_iter().map(ReplicaPrograms::Flat).collect();
+    Ok(Ok((plan, programs)))
 }
 
 /// A planned (and lowered) iteration travelling through the plan-ahead
@@ -1058,8 +1032,8 @@ impl<T> Drop for TicketGuard<'_, T> {
 /// the gradient-sync tail, and (when the engines recorded op traces)
 /// each engine op offset into the iteration's window. Everything here
 /// derives from behavior-pinned simulated quantities, so the recorded
-/// spans are bit-identical across reruns, codecs, placements and churn
-/// — the [`dynapipe_trace::sim_eq`] contract. Shared verbatim by the
+/// spans are bit-identical across reruns, placements and churn — the
+/// [`dynapipe_trace::sim_eq`] contract. Shared verbatim by the
 /// single-host executor and the cluster fold.
 pub fn record_sim_iteration(
     sink: &TraceSink,

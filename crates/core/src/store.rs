@@ -13,15 +13,10 @@
 //!   models a real process boundary: everything an executor needs must
 //!   survive encode/decode (pinned bit-exactly by
 //!   `tests/serialization.rs` and the differential harness in
-//!   `crates/cluster/tests/cluster_equivalence.rs`). The store is
-//!   **codec-agnostic**: a blob is `Vec<u8>` in and [`Arc<[u8]>`] out,
-//!   and the choice of wire encoding — self-describing JSON or the
-//!   length-prefixed binary codec — lives entirely in
-//!   [`crate::codec::PlanCodec`], which [`StoredPlan::encode`] /
-//!   [`StoredPlan::decode`] take explicitly. Pusher and taker must agree
-//!   on the codec out of band (the cluster runtime carries it in its
-//!   `ClusterConfig`), exactly as two processes sharing a Redis instance
-//!   would;
+//!   `crates/cluster/tests/cluster_equivalence.rs`). The store never
+//!   looks inside a blob: it is `Vec<u8>` in and [`Arc<[u8]>`] out. The
+//!   bytes are the Flat arena of [`crate::codec`] ([`StoredPlan::encode`]
+//!   / [`StoredPlan::decode`]), which executors run in place;
 //! * **capacity backpressure** — [`InstructionStore::push_blocking`]
 //!   blocks while the store is at capacity, the put-side analogue of the
 //!   runtime's bounded plan-ahead window. In the cluster runtime the
@@ -814,35 +809,23 @@ pub struct StoredPlan {
 }
 
 impl StoredPlan {
-    /// Serialize to wire bytes with the given codec. Encoding is
-    /// deterministic and float-exact for every codec (JSON via
-    /// shortest-roundtrip formatting, binary via raw bit patterns), so
-    /// `decode(codec, encode(codec)).encode(codec) == encode(codec)` bit
-    /// for bit — the property the differential harness leans on.
+    /// Serialize to the Flat wire blob. Encoding is deterministic and
+    /// float-exact, so `decode(encode(p)).encode() == encode(p)` bit for
+    /// bit — the property the differential harness leans on. `codec` has
+    /// one value; see [`crate::codec::PlanCodec`] for why it is still a
+    /// parameter.
     pub fn encode(&self, codec: crate::codec::PlanCodec) -> Vec<u8> {
         match codec {
             crate::codec::PlanCodec::Flat => crate::codec::encode_flat(self),
-            tree => tree.encode_value(&serde::Serialize::to_value(self)),
         }
     }
 
-    /// Deserialize from wire bytes produced with the *same* codec (the
-    /// codec travels out of band; a mismatched blob fails loudly).
-    ///
-    /// For [`crate::codec::PlanCodec::Flat`] this is the *generic* decode
-    /// — it rebuilds an owned plan for callers that need one. The
-    /// runtime's flat hot path skips it and executes the blob in place
-    /// via [`crate::codec::FlatPlanRef`].
-    pub fn decode(
-        codec: crate::codec::PlanCodec,
-        blob: &[u8],
-    ) -> Result<StoredPlan, serde::Error> {
-        match codec {
-            crate::codec::PlanCodec::Flat => {
-                Ok(crate::codec::FlatPlanRef::new(std::sync::Arc::from(blob))?.to_stored()?)
-            }
-            tree => serde::Deserialize::from_value(&tree.decode_value(blob)?),
-        }
+    /// Rebuild an owned plan from a Flat wire blob. This is the generic
+    /// decode for callers that need an owned plan; the runtime's hot path
+    /// skips it and executes the blob in place via
+    /// [`crate::codec::FlatPlanRef`].
+    pub fn decode(blob: &[u8]) -> Result<StoredPlan, crate::codec::CodecError> {
+        crate::codec::FlatPlanRef::new(Arc::from(blob))?.to_stored()
     }
 }
 

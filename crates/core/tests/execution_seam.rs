@@ -5,11 +5,11 @@
 //! than its plan has replicas. Either way the executor would otherwise
 //! run what it was handed and fold a different-but-valid iteration into
 //! the report. `decode_for_execution` and `execute_lowered` must return
-//! `Err` instead, in every wire codec and in release builds too.
+//! `Err` instead, in release builds too.
 
 use dynapipe_core::runtime::{execute_lowered, lower_replicas};
 use dynapipe_core::{
-    decode_for_execution, DynaPipePlanner, IterationPlan, PlanCodec, PlanError, PlannerConfig,
+    decode_for_execution, encode_flat, DynaPipePlanner, IterationPlan, PlanError, PlannerConfig,
     ReplicaParallelism, RunConfig, StoredLowered, StoredOutcome, StoredPlan,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
@@ -47,112 +47,57 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn blob(iteration: usize, outcome: StoredOutcome, codec: PlanCodec) -> Arc<[u8]> {
-    Arc::from(StoredPlan { iteration, outcome }.encode(codec))
+fn blob(iteration: usize, outcome: StoredOutcome) -> Arc<[u8]> {
+    Arc::from(encode_flat(&StoredPlan { iteration, outcome }))
 }
 
-fn plan_blob(iteration: usize, replica_programs: usize, codec: PlanCodec) -> Arc<[u8]> {
+fn plan_blob(iteration: usize, replica_programs: usize) -> Arc<[u8]> {
     let (_, plan, programs) = fixture();
     let outcome = StoredOutcome::Plan(StoredLowered {
         plan: plan.clone(),
         programs: programs[..replica_programs].to_vec(),
     });
-    blob(iteration, outcome, codec)
+    blob(iteration, outcome)
 }
 
-fn decode_rejects_wrong_iteration(codec: PlanCodec) {
+#[test]
+fn decode_rejects_wrong_iteration() {
     // Control: the blob decodes when fetched for the iteration it names.
-    let ok = decode_for_execution(codec, plan_blob(3, 2, codec), 3).expect("well-formed blob");
-    assert!(ok.is_ok(), "{}: control blob must carry a plan", codec.label());
-    let err = decode_for_execution(codec, plan_blob(3, 2, codec), 4)
+    let ok = decode_for_execution(plan_blob(3, 2), 3).expect("well-formed blob");
+    assert!(ok.is_ok(), "control blob must carry a plan");
+    let err = decode_for_execution(plan_blob(3, 2), 4)
         .err()
-        .unwrap_or_else(|| {
-            panic!("{}: a blob for iteration 3 fetched as 4 must fail", codec.label())
-        });
-    assert!(err.contains("iteration 3"), "{}: {err}", codec.label());
+        .expect("a blob for iteration 3 fetched as 4 must fail");
+    assert!(err.contains("iteration 3"), "{err}");
     // A stored planning failure is misrouted just the same.
-    let failed = blob(
-        3,
-        StoredOutcome::Failed(PlanError::Infeasible("too long".into())),
-        codec,
-    );
+    let failed = blob(3, StoredOutcome::Failed(PlanError::Infeasible("too long".into())));
     assert!(
-        decode_for_execution(codec, failed, 4).is_err(),
-        "{}: a failure blob for iteration 3 fetched as 4 must fail",
-        codec.label()
+        decode_for_execution(failed, 4).is_err(),
+        "a failure blob for iteration 3 fetched as 4 must fail"
     );
 }
 
-fn decode_rejects_missing_replica_programs(codec: PlanCodec) {
-    let err = decode_for_execution(codec, plan_blob(0, 1, codec), 0)
+#[test]
+fn decode_rejects_missing_replica_programs() {
+    let err = decode_for_execution(plan_blob(0, 1), 0)
         .err()
-        .unwrap_or_else(|| {
-            panic!("{}: a 2-replica plan with 1 program set must fail", codec.label())
-        });
-    assert!(err.contains("2 replicas"), "{}: {err}", codec.label());
+        .expect("a 2-replica plan with 1 program set must fail");
+    assert!(err.contains("2 replicas"), "{err}");
 }
 
-fn execute_rejects_missing_replica_programs(codec: PlanCodec) {
+#[test]
+fn execute_rejects_missing_replica_programs() {
     let (cm, _, _) = fixture();
-    let (plan, mut programs) = decode_for_execution(codec, plan_blob(0, 2, codec), 0)
+    let (plan, mut programs) = decode_for_execution(plan_blob(0, 2), 0)
         .expect("well-formed blob")
         .expect("blob carries a plan");
     let run = RunConfig::default();
     // Control: the whole iteration executes.
     execute_lowered(cm, &plan, &programs, &run, 0, ReplicaParallelism::Serial)
-        .unwrap_or_else(|e| panic!("{}: complete iteration must run: {e}", codec.label()));
+        .unwrap_or_else(|e| panic!("complete iteration must run: {e}"));
     programs.pop();
     for mode in [ReplicaParallelism::Serial, ReplicaParallelism::Parallel] {
         let result = execute_lowered(cm, &plan, &programs, &run, 0, mode);
-        assert!(
-            result.is_err(),
-            "{}: running 1 of 2 replicas must fail ({mode:?})",
-            codec.label()
-        );
+        assert!(result.is_err(), "running 1 of 2 replicas must fail ({mode:?})");
     }
-}
-
-#[test]
-fn json_decode_rejects_wrong_iteration() {
-    decode_rejects_wrong_iteration(PlanCodec::Json);
-}
-
-#[test]
-fn binary_decode_rejects_wrong_iteration() {
-    decode_rejects_wrong_iteration(PlanCodec::Binary);
-}
-
-#[test]
-fn flat_decode_rejects_wrong_iteration() {
-    decode_rejects_wrong_iteration(PlanCodec::Flat);
-}
-
-#[test]
-fn json_decode_rejects_missing_replica_programs() {
-    decode_rejects_missing_replica_programs(PlanCodec::Json);
-}
-
-#[test]
-fn binary_decode_rejects_missing_replica_programs() {
-    decode_rejects_missing_replica_programs(PlanCodec::Binary);
-}
-
-#[test]
-fn flat_decode_rejects_missing_replica_programs() {
-    decode_rejects_missing_replica_programs(PlanCodec::Flat);
-}
-
-#[test]
-fn json_execute_rejects_missing_replica_programs() {
-    execute_rejects_missing_replica_programs(PlanCodec::Json);
-}
-
-#[test]
-fn binary_execute_rejects_missing_replica_programs() {
-    execute_rejects_missing_replica_programs(PlanCodec::Binary);
-}
-
-#[test]
-fn flat_execute_rejects_missing_replica_programs() {
-    execute_rejects_missing_replica_programs(PlanCodec::Flat);
 }

@@ -2,7 +2,7 @@
 //! that guards the `behavior_eq` contract at the source level.
 //!
 //! The repo's core asset is its differential discipline: every mode,
-//! codec, topology, and churn scenario must be bit-identical to a
+//! placement, topology, and churn scenario must be bit-identical to a
 //! serial oracle. That contract is enforced dynamically by the
 //! equivalence suites; this crate enforces it *statically*, before any
 //! test runs, by modeling every workspace file with a token-level

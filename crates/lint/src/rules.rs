@@ -909,7 +909,7 @@ pub fn check_recovery_panics(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Fin
 
 /// Rule 5 over one file: flag every `unsafe` token in a behavior crate.
 ///
-/// The zero-copy flat codec is specified as safe code — explicit
+/// The zero-copy Flat wire format is specified as safe code — explicit
 /// little-endian byte reads behind bounds-checked accessors — precisely
 /// so that a corrupt or truncated wire blob can never become undefined
 /// behavior. An `unsafe` block (transmute-based casting, unchecked

@@ -4,7 +4,8 @@
 //! Mapping: one **pid** per host (`host` field; the Sim timeline gets
 //! its own pid 0 track, hosts are offset by 1), one **tid** per actor
 //! class + lane — planner workers, store shards, links (src→dst pair),
-//! decode/exposure per executor host, replicas on the sim track. All
+//! decode/exposure per executor host, replicas and their devices'
+//! engine ops on the sim track. All
 //! spans become `"X"` complete events with byte/generation/wait
 //! payloads in `args`; `"M"` metadata events name the tracks.
 
@@ -23,9 +24,13 @@ fn pid(s: &Span) -> i64 {
 /// The tid a span renders under, plus a human track name.
 fn tid(s: &Span) -> (i64, String) {
     match s.kind {
-        SpanKind::IterExec | SpanKind::EngineOp => {
-            (1 + s.lane.max(0), format!("replica {}", s.lane.max(0)))
-        }
+        SpanKind::IterExec => (1 + s.lane.max(0), format!("replica {}", s.lane.max(0))),
+        // One track per (replica, device): a device's ops never overlap,
+        // so each track reads as that device's pipeline row.
+        SpanKind::EngineOp => (
+            10_000 * (1 + s.lane.max(0)) + s.src.max(0),
+            format!("replica {} device {}", s.lane.max(0), s.src.max(0)),
+        ),
         SpanKind::IterSync => (0, "iteration sync".into()),
         SpanKind::TicketClaim
         | SpanKind::TicketPlan

@@ -11,8 +11,8 @@
 //! - every span carries a [`ClockDomain`]. `Sim` spans live on the
 //!   *ideal simulated timeline* (µs accumulated from simulated
 //!   iteration times, starting at 0) and are part of the behavior
-//!   contract: bit-identical across reruns, codecs, placements and
-//!   churn, enforced by [`sim_eq`] next to `RunReport::behavior_eq`.
+//!   contract: bit-identical across reruns, placements and churn,
+//!   enforced by [`sim_eq`] next to `RunReport::behavior_eq`.
 //!   `Host` spans carry real wall-clock µs and are stats-only — their
 //!   *payloads* (bytes, counts, ledger durations) still reconcile
 //!   exactly with the counters they shadow ([`Trace::reconcile`]),
@@ -79,7 +79,8 @@ pub enum SpanKind {
     LinkPush,
     /// Store-shard→executor transfer of one blob. Recorded only when
     /// the copy crosses hosts — the wire-byte rule — so
-    /// Σ `bytes` == Σ `bytes_fetched` (== `flat_wire_bytes` on flat).
+    /// Σ `bytes` == Σ `bytes_fetched`, every byte of it a Flat blob
+    /// the host's engines run in place.
     LinkFetch,
     /// Post-loss restore hop from a surviving peer.
     LinkRestore,
@@ -215,8 +216,6 @@ pub struct TraceMeta {
     pub label: String,
     /// Topology label (`"2p×1w→2e"`), empty for single-host runs.
     pub topology: String,
-    /// Wire codec label (`"json"` / `"binary"` / `"flat"`).
-    pub codec: String,
     /// Store placement label, empty for single-host runs.
     pub placement: String,
     /// Iterations executed.
@@ -235,8 +234,6 @@ pub struct TraceMeta {
     pub bytes_pushed: u64,
     /// Σ wire bytes fetched store→executor (remote copies only).
     pub bytes_fetched: u64,
-    /// Bytes executed zero-copy over the wire blob (flat codec only).
-    pub flat_wire_bytes: u64,
     /// Bytes moved by post-loss restore hops.
     pub refetch_bytes: u64,
     /// Store counter: blobs pushed.
@@ -376,9 +373,8 @@ fn sim_key(s: &Span) -> (SpanKind, i64, i64, u64, u64, u64, u64, u64, i64, i64) 
 
 /// The trace half of the bit-identity contract: the `Sim`-domain span
 /// sequences of two runs must match bit-for-bit — same spans, same
-/// order, same `f64` bits — across reruns, codecs, placements and
-/// churn. Host spans are ignored, exactly as `behavior_eq` ignores
-/// wall-clock stats.
+/// order, same `f64` bits — across reruns, placements and churn. Host
+/// spans are ignored, exactly as `behavior_eq` ignores wall-clock stats.
 pub fn sim_eq(a: &Trace, b: &Trace) -> Result<(), String> {
     let sa: Vec<&Span> = a.spans.iter().filter(|s| s.domain == ClockDomain::Sim).collect();
     let sb: Vec<&Span> = b.spans.iter().filter(|s| s.domain == ClockDomain::Sim).collect();
@@ -523,20 +519,6 @@ impl Trace {
             if got != want {
                 return Err(format!("{what}: trace says {got}, counters say {want}"));
             }
-        }
-        if m.codec == "flat" {
-            let fetched = self.bytes_of(SpanKind::LinkFetch);
-            if m.flat_wire_bytes != fetched {
-                return Err(format!(
-                    "flat codec: flat_wire_bytes {} != Σ link_fetch bytes {fetched}",
-                    m.flat_wire_bytes
-                ));
-            }
-        } else if m.flat_wire_bytes != 0 {
-            return Err(format!(
-                "tree codec ({}) with nonzero flat_wire_bytes {}",
-                m.codec, m.flat_wire_bytes
-            ));
         }
         let exposed = self.ledger_us(SpanKind::ExposedPlanning);
         if exposed.to_bits() != m.exposed_us.to_bits() {

@@ -10,9 +10,9 @@
 //! Run with: `cargo run --release --example plan_inspector`
 
 use dynapipe_comm::ExecutionPlan;
-use dynapipe_core::compile_replica;
+use dynapipe_core::{compile_replica, record_sim_iteration, IterationExecution};
 use dynapipe_repro::prelude::*;
-use dynapipe_sim::trace::to_chrome_trace;
+use dynapipe_trace::{chrome::to_chrome_trace, TraceSink};
 use std::sync::Arc;
 
 fn main() {
@@ -80,7 +80,19 @@ fn main() {
             .map(|b| b / 1_000_000)
             .collect::<Vec<_>>()
     );
-    let trace = to_chrome_trace(&result.trace);
+    // The engine's events become Sim-domain `EngineOp` spans exactly as
+    // the runtimes record them, so one exporter serves every trace.
+    let sink = TraceSink::bounded(result.trace.len() + 2);
+    let exec = IterationExecution {
+        measured_time: result.makespan,
+        peak_memory: result.peak_memory.clone(),
+        allocator_stall_us: result.allocator_stats.iter().map(|s| s.stall_us).sum(),
+        host_wall_us: result.host_wall_us,
+        replica_makespans: vec![result.makespan],
+        replica_traces: vec![result.trace.clone()],
+    };
+    record_sim_iteration(&sink, 0, &exec, &mut 0.0);
+    let trace = to_chrome_trace(&sink.finish());
     std::fs::create_dir_all("results").ok();
     let path = "results/plan_inspector_trace.json";
     std::fs::write(path, trace).expect("write trace");

@@ -2,21 +2,20 @@
 //! distributed instruction store in the real system (§3) — and, since
 //! the cluster runtime, in this reproduction too — so every plan
 //! artifact must survive serde exactly. The property tests below pin the
-//! full [`dynapipe_core::StoredPlan`] wire format bitwise **under all
-//! three codecs** ([`PlanCodec::Json`], the length-prefixed
-//! [`PlanCodec::Binary`], and the zero-copy [`PlanCodec::Flat`] arena):
-//! arbitrary lowered plans (random sample shapes, recompute modes, dp
-//! degrees) must encode/decode to an identical value *and* an identical
-//! re-encoding in each codec, cross-decode equal across codecs, and an
-//! engine over the deserialized programs must run bit-identically to one
-//! over the original shared-`Arc` programs. The flat codec additionally
-//! pins the zero-copy execution path (engines over [`FlatPlanRef`]
-//! views of the raw wire bytes) and its corruption contract: truncated
-//! or bit-flipped blobs yield a typed [`dynapipe_core::CodecError`],
-//! never a panic or an out-of-bounds read.
+//! full [`dynapipe_core::StoredPlan`] wire format — the zero-copy Flat
+//! arena — bitwise: arbitrary lowered plans (random sample shapes,
+//! recompute modes, dp degrees) must encode/decode to an identical value
+//! *and* an identical re-encoding, and engines over the decoded programs
+//! — rebuilt owned, or run in place over [`FlatPlanRef`] views of the
+//! raw wire bytes — must run bit-identically to engines over the
+//! original shared-`Arc` programs. The corruption contract is pinned
+//! too: truncated or bit-flipped blobs yield a typed
+//! [`dynapipe_core::CodecError`], never a panic or an out-of-bounds read.
+//! JSON (`serde_json`) remains a debug rendering, pinned for the plan
+//! artifacts it prints.
 
 use dynapipe_core::{
-    compile_replica, runtime::replica_engine_config, FlatPlanRef, PlanCodec, RunConfig,
+    compile_replica, encode_flat, runtime::replica_engine_config, FlatPlanRef, RunConfig,
     StoredLowered, StoredOutcome, StoredPlan,
 };
 use dynapipe_repro::prelude::*;
@@ -153,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     #[test]
-    fn stored_plan_roundtrip_is_bitwise_in_both_codecs(
+    fn stored_plan_roundtrip_is_bitwise(
         samples in arb_samples(24, 1024),
         planner_idx in 0usize..3,
         mode_idx in 0usize..3,
@@ -166,60 +165,26 @@ proptest! {
             iteration,
             outcome: StoredOutcome::Plan(lowered),
         };
-        let mut decoded_per_codec = Vec::new();
-        for codec in PlanCodec::ALL {
-            let wire = stored.encode(codec);
-            let decoded = StoredPlan::decode(codec, &wire).expect("wire blob decodes");
-            // Value equality, then the stronger bitwise check: both
-            // codecs are deterministic and float-exact, so a bit-exact
-            // decode re-encodes to the identical byte string.
-            prop_assert_eq!(&decoded, &stored);
-            prop_assert_eq!(decoded.encode(codec), wire);
-            // A blob must never decode under any other codec: the wire
-            // formats are unambiguous, not guessable.
-            for other in PlanCodec::ALL {
-                if other != codec {
-                    prop_assert!(
-                        StoredPlan::decode(other, &wire).is_err(),
-                        "a {} blob decoded as {}", codec.label(), other.label()
-                    );
-                }
-            }
-            // Spot-check float bit patterns explicitly (PartialEq alone
-            // would accept 0.0 vs -0.0).
-            let (a, b) = match (&stored.outcome, &decoded.outcome) {
-                (StoredOutcome::Plan(a), StoredOutcome::Plan(b)) => (a, b),
-                _ => unreachable!("encoded a plan"),
-            };
-            prop_assert_eq!(
-                a.plan.est_iteration_time.to_bits(),
-                b.plan.est_iteration_time.to_bits()
-            );
-            for (ra, rb) in a.plan.replicas.iter().zip(&b.plan.replicas) {
-                prop_assert_eq!(ra.est_makespan.to_bits(), rb.est_makespan.to_bits());
-            }
-            decoded_per_codec.push(decoded);
-        }
-        // Cross-decode equality: every codec's decode agrees with every
-        // other's, field for field.
-        for pair in decoded_per_codec.windows(2) {
-            prop_assert_eq!(&pair[0], &pair[1]);
-        }
-        // The binary codec exists to shrink blobs: on a real lowered
-        // plan it must always be the smaller wire format. The flat
-        // arena trades varints for fixed-width zero-copy records, so it
-        // may pad a little — but never more than 25% over binary.
-        let json_bytes = stored.encode(PlanCodec::Json).len();
-        let binary_bytes = stored.encode(PlanCodec::Binary).len();
-        let flat_bytes = stored.encode(PlanCodec::Flat).len();
-        prop_assert!(
-            binary_bytes < json_bytes,
-            "binary {} >= json {}", binary_bytes, json_bytes
+        let wire = encode_flat(&stored);
+        let decoded = StoredPlan::decode(&wire).expect("wire blob decodes");
+        // Value equality, then the stronger bitwise check: the format is
+        // deterministic and float-exact, so a bit-exact decode re-encodes
+        // to the identical byte string.
+        prop_assert_eq!(&decoded, &stored);
+        prop_assert_eq!(encode_flat(&decoded), wire);
+        // Spot-check float bit patterns explicitly (PartialEq alone
+        // would accept 0.0 vs -0.0).
+        let (a, b) = match (&stored.outcome, &decoded.outcome) {
+            (StoredOutcome::Plan(a), StoredOutcome::Plan(b)) => (a, b),
+            _ => unreachable!("encoded a plan"),
+        };
+        prop_assert_eq!(
+            a.plan.est_iteration_time.to_bits(),
+            b.plan.est_iteration_time.to_bits()
         );
-        prop_assert!(
-            flat_bytes * 4 <= binary_bytes * 5,
-            "flat {} > 1.25x binary {}", flat_bytes, binary_bytes
-        );
+        for (ra, rb) in a.plan.replicas.iter().zip(&b.plan.replicas) {
+            prop_assert_eq!(ra.est_makespan.to_bits(), rb.est_makespan.to_bits());
+        }
     }
 
     #[test]
@@ -235,31 +200,29 @@ proptest! {
         let shared: Vec<Arc<Vec<DeviceProgram>>> =
             lowered.programs.iter().cloned().map(Arc::new).collect();
         let stored = StoredPlan { iteration, outcome: StoredOutcome::Plan(lowered) };
-        for codec in PlanCodec::ALL {
-            let wire = stored.encode(codec);
-            let decoded = match StoredPlan::decode(codec, &wire).expect("decodes").outcome {
-                StoredOutcome::Plan(l) => l,
-                StoredOutcome::Failed(e) => panic!("encoded a plan, decoded {e}"),
-            };
-            // Jittered runs, so even the noise must agree bit for bit.
-            let run = RunConfig::default();
-            for (replica, (arc_programs, owned)) in
-                shared.iter().cloned().zip(decoded.programs).enumerate()
-            {
-                let config = replica_engine_config(&cm, &run, iteration, replica);
-                let original = Engine::with_shared(config.clone(), arc_programs)
-                    .run()
-                    .expect("original runs");
-                let roundtripped = Engine::new(config, owned).run().expect("decoded runs");
-                original.bit_eq(&roundtripped).unwrap_or_else(|e| {
-                    panic!("replica {replica} diverged after the {} wire: {e}", codec.label())
-                });
-            }
+        let wire = encode_flat(&stored);
+        // The owned rebuild: programs materialized from the wire blob.
+        let decoded = match StoredPlan::decode(&wire).expect("decodes").outcome {
+            StoredOutcome::Plan(l) => l,
+            StoredOutcome::Failed(e) => panic!("encoded a plan, decoded {e}"),
+        };
+        // Jittered runs, so even the noise must agree bit for bit.
+        let run = RunConfig::default();
+        for (replica, (arc_programs, owned)) in
+            shared.iter().cloned().zip(decoded.programs).enumerate()
+        {
+            let config = replica_engine_config(&cm, &run, iteration, replica);
+            let original = Engine::with_shared(config.clone(), arc_programs)
+                .run()
+                .expect("original runs");
+            let roundtripped = Engine::new(config, owned).run().expect("decoded runs");
+            original.bit_eq(&roundtripped).unwrap_or_else(|e| {
+                panic!("replica {replica} diverged after the owned rebuild: {e}")
+            });
         }
         // The zero-copy path: engines running straight over the flat
         // wire bytes (no tree build, no owned programs) must be
         // bit-identical to engines over the original shared `Arc`s.
-        let wire = stored.encode(PlanCodec::Flat);
         let flat = FlatPlanRef::new(Arc::from(wire.as_slice())).expect("flat blob validates");
         let views = flat.replicas();
         prop_assert_eq!(views.len(), shared.len());
@@ -291,14 +254,14 @@ proptest! {
             return Ok(());
         };
         let stored = StoredPlan { iteration: 7, outcome: StoredOutcome::Plan(lowered) };
-        let wire = stored.encode(PlanCodec::Flat);
+        let wire = encode_flat(&stored);
         // Any proper prefix fails the header's total-length check with a
         // typed CodecError — decoding is a Result, never a panic.
         let cut = cut_sel % wire.len();
         let err = FlatPlanRef::new(Arc::from(&wire[..cut]))
             .expect_err("a truncated blob must not validate");
         prop_assert!(!err.to_string().is_empty());
-        prop_assert!(StoredPlan::decode(PlanCodec::Flat, &wire[..cut]).is_err());
+        prop_assert!(StoredPlan::decode(&wire[..cut]).is_err());
         // A single bit flip either fails validation (typed error) or
         // decodes to *some* value — a flip inside a payload field (a
         // duration, an alloc size) changes data without breaking the
@@ -331,41 +294,34 @@ proptest! {
         let f = f64::from_bits(bits);
         if f.is_nan() {
             // NaN payloads are out of contract: plans never contain them
-            // (and the JSON wire collapses them to one canonical NaN —
-            // the binary codec happens to preserve even these, see the
-            // codec unit tests, but the contract only covers non-NaN).
+            // (and JSON collapses them to one canonical NaN — the Binary
+            // plan section happens to preserve even these, see the codec
+            // unit tests, but the contract only covers non-NaN).
             return Ok(());
         }
         let json = serde_json::to_string(&f).unwrap();
         let back: f64 = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back.to_bits(), bits);
-        // The same pattern embedded in a device program op survives both
-        // tree codecs too.
+        // The same pattern rides both halves of a Flat blob: the plan
+        // section (the Binary `Value` layout) and an instruction record's
+        // fixed-width duration field, read back through the zero-copy view.
         let program = DeviceProgram {
             ops: vec![SimOp::compute(f, OpLabel::new(0, 0, false))],
         };
-        for codec in [PlanCodec::Json, PlanCodec::Binary] {
-            let wire = codec.encode_value(&serde::Serialize::to_value(&program));
-            let value = codec.decode_value(&wire).expect("program decodes");
-            let back: DeviceProgram = serde::Deserialize::from_value(&value).unwrap();
-            match &back.ops[0] {
-                SimOp::Compute { duration, .. } => {
-                    prop_assert_eq!(duration.to_bits(), bits);
-                }
-                other => panic!("unexpected op {other:?}"),
-            }
-        }
-        // The flat codec has no Value-tree layout; the same bit pattern
-        // rides an instruction record's fixed-width duration field and
-        // is read back verbatim through the zero-copy view.
-        let wire = dynapipe_core::encode_flat(&StoredPlan {
+        let plan = dynapipe_core::IterationPlan {
+            est_iteration_time: f,
+            ..empty_plan()
+        };
+        let wire = encode_flat(&StoredPlan {
             iteration: 0,
             outcome: StoredOutcome::Plan(StoredLowered {
-                plan: empty_plan(),
+                plan,
                 programs: vec![vec![program]],
             }),
         });
         let flat = FlatPlanRef::new(Arc::from(wire.as_slice())).expect("validates");
+        let section = flat.plan().expect("plan section decodes");
+        prop_assert_eq!(section.est_iteration_time.to_bits(), bits);
         let view = flat.replica(0).expect("one replica");
         match view.op_view(0, 0).expect("one op") {
             dynapipe_sim::OpView::Compute { duration, .. } => {
